@@ -69,8 +69,11 @@ Result<double> SaxClassificationF1(const std::vector<TimeSeries>& fleet) {
   }
   std::vector<ml::Attribute> attributes;
   for (int w = 0; w < 24; ++w) {
-    attributes.push_back(
-        ml::Attribute::Nominal("w" + std::to_string(w), names));
+    // Appended, not `"w" + std::to_string(w)`: GCC 12 at -O3 flags that
+    // front insert with a false -Wrestrict (fatal under -Werror).
+    std::string name = "w";
+    name += std::to_string(w);
+    attributes.push_back(ml::Attribute::Nominal(name, names));
   }
   std::vector<std::string> houses;
   for (size_t h = 0; h < fleet.size(); ++h) {

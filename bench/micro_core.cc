@@ -4,12 +4,20 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "common/random.h"
 #include "core/encoder.h"
 #include "core/online_encoder.h"
 #include "core/quantile.h"
 #include "core/codec.h"
 #include "core/sax.h"
+#include "data/redd.h"
 
 namespace smeter {
 namespace {
@@ -143,7 +151,55 @@ void BM_RunningStatsAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_RunningStatsAdd);
 
+// The REDD channel loader over a simulated 1-day, 1 Hz channel file
+// ("timestamp watts" rows, centiwatt precision like REDD's mains), read
+// from the page cache: file read + line walk + number parsing.
+void BM_LoadReddChannel(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("smeter_bench_channel_" + std::to_string(::getpid()) + ".dat"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    Rng rng(5);
+    char row[64];
+    for (int64_t t = 0; t < kSecondsPerDay; ++t) {
+      int n = std::snprintf(row, sizeof(row), "%lld %.2f\n",
+                            static_cast<long long>(1303132929 + t),
+                            rng.LogNormal(5.0, 1.0));
+      out.write(row, n);
+    }
+  }
+  const int64_t bytes =
+      static_cast<int64_t>(std::filesystem::file_size(path));
+  for (auto _ : state) {
+    Result<TimeSeries> series = data::LoadReddChannel(path);
+    if (!series.ok()) {
+      state.SkipWithError(series.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(series->size());
+  }
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(state.iterations() * bytes);
+  state.SetItemsProcessed(state.iterations() * kSecondsPerDay);
+}
+BENCHMARK(BM_LoadReddChannel)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace smeter
 
-BENCHMARK_MAIN();
+// run_bench.sh records BM_LoadReddChannel only when this marker says
+// release (see micro_parallel.cc).
+int main(int argc, char** argv) {
+#ifdef NDEBUG
+  benchmark::AddCustomContext("smeter_build_type", "release");
+#else
+  benchmark::AddCustomContext("smeter_build_type", "debug");
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

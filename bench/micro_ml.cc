@@ -14,6 +14,15 @@
 namespace smeter::ml {
 namespace {
 
+// `prefix` followed by the decimal `index`. Built by appending: GCC 12 at
+// -O3 flags `"w" + std::to_string(w)` (an insert at the front) with a
+// false -Wrestrict, which -Werror makes fatal in the release preset.
+std::string IndexedName(const char* prefix, size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 // A synthetic stand-in for the symbolic day-vector dataset: 96 nominal
 // attributes of 16 categories, classes distinguishable by shifted
 // category distributions.
@@ -23,11 +32,12 @@ Dataset DayVectorLikeDataset(size_t instances_per_class, size_t classes) {
   for (int c = 0; c < 16; ++c) categories.push_back(std::to_string(c));
   for (int w = 0; w < 96; ++w) {
     attributes.push_back(
-        Attribute::Nominal("w" + std::to_string(w), categories));
+        Attribute::Nominal(IndexedName("w", static_cast<size_t>(w)),
+                           categories));
   }
   std::vector<std::string> labels;
   for (size_t c = 0; c < classes; ++c) {
-    labels.push_back("h" + std::to_string(c));
+    labels.push_back(IndexedName("h", c));
   }
   attributes.push_back(Attribute::Nominal("house", labels));
   Dataset d = Dataset::Create("bench", attributes, 96).value();

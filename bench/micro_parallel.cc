@@ -126,8 +126,10 @@ void BM_FleetEncode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kHouses * kSamplesPerHouse));
 }
+// Real (wall) time: the pool's work runs on worker threads, so the main
+// thread's CPU time would overstate the throughput of every pooled run.
 BENCHMARK(BM_FleetEncode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 ml::Dataset BenchBlobs(size_t per_class) {
   ml::Dataset d =
@@ -162,7 +164,7 @@ void BM_ForestTrain(benchmark::State& state) {
                           static_cast<int64_t>(options.num_trees));
 }
 BENCHMARK(BM_ForestTrain)->Arg(0)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- durable-storage kernels ------------------------------------------------
 

@@ -7,6 +7,10 @@
 #   BM_EncodeBatch vs BM_EncodeScalar  -- SoA kernel speedup (single thread)
 #   BM_FleetEncode/1..8                -- household sharding across the pool
 #   BM_ForestTrain/0 vs /2 /4         -- serial vs pooled forest training
+#                                        (both in real time: pooled work
+#                                        runs off the timing thread)
+#   BM_LoadReddChannel                -- bytes/s of the streaming REDD
+#                                        channel loader over a 1-day file
 #   BM_Crc32c vs BM_Crc32cSoftware    -- hardware CRC32C dispatch speedup
 #   BM_PackFramed vs BM_PackLegacy    -- checksummed v3 write cost; its
 #                                        wire_overhead_pct counter is the
@@ -55,11 +59,19 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${repo_root}"
 
 cmake --preset release >/dev/null
-cmake --build build-release --target micro_parallel --target net_ingest \
-  --target query -j"$(nproc)"
+cmake --build build-release --target micro_parallel --target micro_core \
+  --target net_ingest --target query -j"$(nproc)"
 
 build-release/bench/micro_parallel \
   --benchmark_out="${repo_root}/BENCH_micro.json" \
+  --benchmark_out_format=json \
+  --benchmark_repetitions=3 \
+  --benchmark_report_aggregates_only=true \
+  "$@"
+
+build-release/bench/micro_core \
+  --benchmark_filter=BM_LoadReddChannel \
+  --benchmark_out="${repo_root}/BENCH_core.json" \
   --benchmark_out_format=json \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -79,11 +91,11 @@ build-release/bench/query \
   --benchmark_report_aggregates_only=true \
   "$@"
 
-# Merge the net-ingest and query benchmarks into the single
+# Merge the loader, net-ingest and query benchmarks into the single
 # BENCH_micro.json report, refusing any report whose benchmark library was
 # not a release build.
-python3 - "${repo_root}/BENCH_micro.json" "${repo_root}/BENCH_net.json" \
-  "${repo_root}/BENCH_query.json" <<'PY'
+python3 - "${repo_root}/BENCH_micro.json" "${repo_root}/BENCH_core.json" \
+  "${repo_root}/BENCH_net.json" "${repo_root}/BENCH_query.json" <<'PY'
 import json, sys
 micro_path, extra_paths = sys.argv[1], sys.argv[2:]
 with open(micro_path) as f:
@@ -104,6 +116,7 @@ for _, report in extras:
 with open(micro_path, "w") as f:
     json.dump(micro, f, indent=2)
 PY
-rm -f "${repo_root}/BENCH_net.json" "${repo_root}/BENCH_query.json"
+rm -f "${repo_root}/BENCH_core.json" "${repo_root}/BENCH_net.json" \
+  "${repo_root}/BENCH_query.json"
 
 echo "wrote ${repo_root}/BENCH_micro.json"

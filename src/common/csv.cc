@@ -1,9 +1,5 @@
 #include "common/csv.h"
 
-#include <fstream>
-#include <sstream>
-
-#include "common/fault_injection.h"
 #include "common/string_util.h"
 
 namespace smeter {
@@ -42,34 +38,6 @@ Result<CsvTable> ParseCsv(const std::string& content,
     table.last_row_unterminated = !terminated;
   }
   return table;
-}
-
-Result<CsvTable> ReadCsvFile(const std::string& path,
-                             const CsvOptions& options) {
-  SMETER_FAULT_POINT("csv.read");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return InternalError("I/O error reading: " + path);
-  return ParseCsv(buf.str(), options);
-}
-
-Status WriteCsvFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows,
-                    const CsvOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return InternalError("cannot open file for writing: " + path);
-  for (const auto& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out << options.delimiter;
-      out << row[i];
-    }
-    out << '\n';
-  }
-  out.flush();
-  if (!out) return InternalError("I/O error writing: " + path);
-  return Status::Ok();
 }
 
 }  // namespace smeter

@@ -1,7 +1,7 @@
-// Minimal CSV / delimiter-separated-values reading and writing.
+// Minimal CSV / delimiter-separated-values parsing.
 //
-// Supports arbitrary single-character delimiters (the REDD low_freq layout
-// is space-separated), '#'-prefixed comment lines, and blank-line skipping.
+// Supports arbitrary single-character delimiters, '#'-prefixed comment
+// lines, and blank-line skipping.
 // Quoting is not supported: smart-meter exports are purely numeric.
 
 #ifndef SMETER_COMMON_CSV_H_
@@ -37,15 +37,6 @@ struct CsvTable {
 // Parses `content` (the full text of a file) into rows of string fields.
 Result<CsvTable> ParseCsv(const std::string& content,
                           const CsvOptions& options = {});
-
-// Reads and parses the file at `path`.
-Result<CsvTable> ReadCsvFile(const std::string& path,
-                             const CsvOptions& options = {});
-
-// Writes rows to `path`, joining fields with `options.delimiter`.
-Status WriteCsvFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows,
-                    const CsvOptions& options = {});
 
 }  // namespace smeter
 

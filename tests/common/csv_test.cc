@@ -114,19 +114,5 @@ TEST(CsvTest, CrLfPairIsOneTerminatorNotTwo) {
   EXPECT_EQ(lfcr.num_rows(), 3u);
 }
 
-TEST(CsvFileTest, RoundTrip) {
-  std::string path = testing::TempPath("roundtrip.csv");
-  std::vector<std::vector<std::string>> rows = {{"a", "b"}, {"1", "2"}};
-  ASSERT_OK(WriteCsvFile(path, rows));
-  ASSERT_OK_AND_ASSIGN(CsvTable t, ReadCsvFile(path));
-  EXPECT_EQ(t.rows, rows);
-}
-
-TEST(CsvFileTest, MissingFileReturnsNotFound) {
-  Result<CsvTable> r = ReadCsvFile("/nonexistent/path/x.csv");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-}
-
 }  // namespace
 }  // namespace smeter

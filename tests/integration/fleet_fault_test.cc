@@ -98,6 +98,9 @@ TEST(FleetFaultTest, InterruptedRunResumesBitIdentical) {
   ExpectDirsBitIdentical(clean_dir, crash_dir, FleetArtifacts(3));
 }
 
+// Households load in parallel on the fleet's pool, each into its own
+// Result: a corrupt house is quarantined alone, and every other house's
+// outputs are byte-identical to a serial run.
 TEST(FleetFaultTest, CorruptHouseholdCostsOnlyItself) {
   std::string dir = smeter::testing::TempPath("fleet_fault_corrupt");
   std::filesystem::remove_all(dir);
@@ -111,14 +114,18 @@ TEST(FleetFaultTest, CorruptHouseholdCostsOnlyItself) {
   std::string out_dir = dir + "/encoded";
   // Real retry policy (1 retry, 1 ms backoff): a persistent parse error
   // must exhaust it and quarantine, with the run still exiting cleanly.
-  std::string fleet =
-      RunCliOk({"encode-fleet", "--input", dir, "--out", out_dir,
-                "--threads", "2", "--max-retries", "1", "--retry-backoff-ms",
-                "1"});
+  auto encode_fleet = [&](const std::string& out,
+                          const std::string& threads) {
+    return RunCliOk({"encode-fleet", "--input", dir, "--out", out,
+                     "--threads", threads, "--max-retries", "1",
+                     "--retry-backoff-ms", "1"});
+  };
+  std::string fleet = encode_fleet(out_dir, "4");
   EXPECT_NE(fleet.find("house_3: quarantined after 2 attempt(s)"),
             std::string::npos)
       << fleet;
   EXPECT_NE(fleet.find("3 households"), std::string::npos);
+  EXPECT_NE(fleet.find("on 4 threads"), std::string::npos) << fleet;
   EXPECT_TRUE(std::filesystem::exists(out_dir + "/house_1.symbols"));
   EXPECT_TRUE(std::filesystem::exists(out_dir + "/house_2.symbols"));
   EXPECT_FALSE(std::filesystem::exists(out_dir + "/house_3.symbols"));
@@ -133,6 +140,13 @@ TEST(FleetFaultTest, CorruptHouseholdCostsOnlyItself) {
   // "household failed".
   EXPECT_NE(quality.find("house_3"), std::string::npos);
   EXPECT_NE(quality.find("\"quarantined\""), std::string::npos);
+
+  std::string serial_dir = dir + "/serial";
+  encode_fleet(serial_dir, "1");
+  ExpectDirsBitIdentical(serial_dir, out_dir,
+                         {"house_1.table", "house_1.symbols", "house_2.table",
+                          "house_2.symbols", "fleet.manifest",
+                          "quality.json"});
 }
 
 // Soak entry point: CI runs this test repeatedly with SMETER_FAULT_SEED
@@ -168,6 +182,11 @@ TEST(FleetFaultSoakTest, RandomizedInjectionThenResumeConverges) {
     // a legal crash signature for the resume path to absorb.
     Status status = cli::RunCli(FleetArgs(dir, soak_dir), out);
     (void)status;
+    // The default plan must really reach the loader's read seam, or the
+    // soak no longer covers load failures.
+    if (seed == 1) {
+      EXPECT_GT(plan.InjectedCount("csv.read"), 0u);
+    }
   }
 
   std::vector<std::string> resume_args = FleetArgs(dir, soak_dir);

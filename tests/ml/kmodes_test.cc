@@ -12,8 +12,11 @@ Dataset ThreeClusters(size_t per_cluster, uint64_t seed, double noise = 0.1) {
   std::vector<std::string> categories = {"0", "1", "2"};
   std::vector<Attribute> attributes;
   for (int a = 0; a < 6; ++a) {
-    attributes.push_back(
-        Attribute::Nominal("f" + std::to_string(a), categories));
+    // Appended, not `"f" + std::to_string(a)`: GCC 12 at -O3 flags that
+    // front insert with a false -Wrestrict (fatal under -Werror).
+    std::string name = "f";
+    name += std::to_string(a);
+    attributes.push_back(Attribute::Nominal(name, categories));
   }
   attributes.push_back(Attribute::Nominal("label", categories));
   Dataset d = Dataset::Create("clusters", attributes, 6).value();

@@ -295,25 +295,35 @@ Status CmdDecode(const Flags& flags, std::ostream& out) {
 }
 
 // Loads every household of a fleet: REDD layout (a directory of
-// house_<i>/ subdirectories) or a CER file (all meters). Returns one
-// FleetInput per household in a stable order; a household whose files are
-// unreadable carries its load error into the tolerant encoder (quarantine)
-// instead of failing the whole fleet. A CER file that cannot be read at
-// all is a fleet-level error — the households inside it cannot even be
-// enumerated.
+// house_<i>/ subdirectories, loaded in parallel on `pool`) or a CER file
+// (all meters). Returns one FleetInput per household in a stable order; a
+// household whose files are unreadable carries its load error into the
+// tolerant encoder (quarantine) instead of failing the whole fleet. A CER
+// file that cannot be read at all is a fleet-level error — the households
+// inside it cannot even be enumerated.
 Result<std::vector<FleetInput>> LoadFleet(const std::string& input,
-                                          const std::string& format) {
+                                          const std::string& format,
+                                          ThreadPool* pool) {
   std::vector<FleetInput> fleet;
   if (format == "redd") {
     for (int h = 1;; ++h) {
-      std::string house_dir = input + "/house_" + std::to_string(h);
-      if (!std::filesystem::is_directory(house_dir)) break;
-      fleet.push_back({"house_" + std::to_string(h),
-                       data::LoadReddHouseMains(house_dir)});
+      std::string name = "house_" + std::to_string(h);
+      if (!std::filesystem::is_directory(input + "/" + name)) break;
+      fleet.push_back({std::move(name), TimeSeries()});
     }
     if (fleet.empty()) {
       return NotFoundError("no house_<i> directories under " + input);
     }
+    // Each household stores its own Result, so a bad house is still
+    // quarantined alone.
+    SMETER_RETURN_IF_ERROR(
+        pool->ParallelFor(0, fleet.size(), 1, [&](size_t begin, size_t end) {
+          for (size_t h = begin; h < end; ++h) {
+            fleet[h].trace =
+                data::LoadReddHouseMains(input + "/" + fleet[h].name);
+          }
+          return Status::Ok();
+        }));
     return fleet;
   }
   if (format == "cer") {
@@ -374,7 +384,8 @@ Status CmdEncodeFleet(const Flags& flags, std::ostream& out) {
     return InvalidArgumentError("--max-retries must be >= 0");
   }
 
-  Result<std::vector<FleetInput>> fleet = LoadFleet(*input, format);
+  ThreadPool pool(static_cast<size_t>(*threads));
+  Result<std::vector<FleetInput>> fleet = LoadFleet(*input, format, &pool);
   if (!fleet.ok()) return fleet.status();
 
   const std::string manifest_path = *dir + "/fleet.manifest";
@@ -444,7 +455,6 @@ Status CmdEncodeFleet(const Flags& flags, std::ostream& out) {
     return manifest->Append(ManifestRecord(done));
   };
 
-  ThreadPool pool(static_cast<size_t>(*threads));
   Stopwatch watch;
   Result<std::vector<HouseholdReport>> encoded =
       EncodeFleetTolerant(todo, options, &pool, sink);
