@@ -14,26 +14,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
-#include "common/sync.h"
 #include "core/lookup_table.h"
-#include "net/ingest_server.h"
 #include "net/session.h"
 #include "net/wire.h"
 
@@ -156,203 +142,6 @@ void BM_SessionIngest(benchmark::State& state) {
   state.counters["batches"] = static_cast<double>(kBatches);
 }
 BENCHMARK(BM_SessionIngest);
-
-// ---------------------------------------------------------------------------
-// Sharded end-to-end ingest: a real loopback IngestServer with
-// threads = range(0) shards, driven by range(1) persistent TCP connections
-// that carry a fixed 64-meter fleet back-to-back (keep-alive sessions).
-// Every SYMBOL_BATCH waits for its BATCH_ACK, so the recorded samples are
-// genuine request->ack round trips under the chosen concurrency; the
-// ack_p50_us / ack_p99_us counters summarize them and items_per_second is
-// the AGGREGATE symbols/s across all shards. On a single-core host the
-// shard sweep collapses to serial throughput (the shard threads time-slice
-// one CPU) — the matrix still exercises acceptor spreading, meter-hash
-// handoff, and per-shard manifest striping end to end.
-
-constexpr size_t kShardFleet = 64;    // meters per iteration
-constexpr size_t kShardBatches = 4;   // SYMBOL_BATCH frames per meter
-
-// Minimal blocking framed client (the loadgen MeterClient shape, inlined
-// here so the bench binary only needs smeter_net).
-class BenchClient {
- public:
-  ~BenchClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool Connect(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return false;
-    const int enable = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-
-  bool SendFrame(const Frame& frame) {
-    const std::string bytes = EncodeFrame(frame);
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      ssize_t n = ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-      if (n > 0) {
-        sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      return false;
-    }
-    return true;
-  }
-
-  bool RecvFrame(Frame* out) {
-    for (;;) {
-      DecodeResult decoded = DecodeFrame(in_);
-      if (decoded.outcome == DecodeResult::Outcome::kFrame) {
-        in_.erase(0, decoded.consumed);
-        *out = std::move(decoded.frame);
-        return true;
-      }
-      if (decoded.outcome == DecodeResult::Outcome::kError) return false;
-      char chunk[16 * 1024];
-      ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n > 0) {
-        in_.append(chunk, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0 || errno != EINTR) return false;
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string in_;
-};
-
-void BM_ShardedIngest(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const size_t conns = static_cast<size_t>(state.range(1));
-  const std::string table_blob = BenchTableBlob();
-
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("smeter_bench_ingest_" + std::to_string(::getpid()) + "_" +
-       std::to_string(shards) + "_" + std::to_string(conns));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-
-  IngestServerOptions options;
-  options.archive_dir = dir.string();
-  options.threads = shards;
-  options.idle_timeout_ms = 60'000;
-  Result<std::unique_ptr<IngestServer>> server =
-      IngestServer::Create(options);
-  SMETER_CHECK(server.ok());
-  const uint16_t port = (*server)->port();
-  std::thread server_thread([&] {
-    Status run = (*server)->Run();
-    SMETER_CHECK(run.ok());
-  });
-
-  // Unique meter ids per iteration so every session persists fresh instead
-  // of short-circuiting on the duplicate check.
-  static std::atomic<uint64_t> round_counter{0};
-
-  std::mutex merge_mutex;
-  std::vector<double> ack_us;  // all batch->ack round trips, microseconds
-  uint64_t failures = 0;
-
-  for (auto _ : state) {
-    const uint64_t round = round_counter.fetch_add(1);
-    std::vector<std::thread> workers;
-    workers.reserve(conns);
-    for (size_t c = 0; c < conns; ++c) {
-      workers.emplace_back([&, c, round] {
-        std::vector<double> local_us;
-        uint64_t local_failures = 0;
-        BenchClient client;
-        if (!client.Connect(port)) {
-          local_failures += kShardFleet / conns + 1;
-        } else {
-          using Clock = std::chrono::steady_clock;
-          for (size_t m = c; m < kShardFleet; m += conns) {
-            const std::string meter = "bench_" + std::to_string(round) +
-                                      "_" + std::to_string(m);
-            bool ok =
-                client.SendFrame(MakeHello({kProtocolVersion, meter, ""}));
-            Frame reply;
-            ok = ok && client.RecvFrame(&reply) &&
-                 reply.type == FrameType::kHelloAck;
-            ok = ok && client.SendFrame(MakeTableAnnounce({1, table_blob}));
-            ok = ok && client.RecvFrame(&reply) &&
-                 reply.type == FrameType::kTableAck;
-            uint64_t gaps = 0, valid = 0;
-            int64_t start = 0;
-            for (size_t b = 1; ok && b <= kShardBatches; ++b) {
-              SymbolBatchPayload batch = BenchBatch(b, start);
-              start += static_cast<int64_t>(batch.symbols.size()) *
-                       batch.step_seconds;
-              for (uint16_t s : batch.symbols) {
-                if (s == kWireGapSymbol) ++gaps; else ++valid;
-              }
-              const auto t0 = Clock::now();
-              ok = client.SendFrame(MakeSymbolBatch(batch)) &&
-                   client.RecvFrame(&reply) &&
-                   reply.type == FrameType::kBatchAck;
-              if (ok) {
-                local_us.push_back(
-                    std::chrono::duration<double, std::micro>(Clock::now() -
-                                                              t0)
-                        .count());
-              }
-            }
-            ok = ok && client.SendFrame(MakeGoodbye({valid, 0, gaps}));
-            ok = ok && client.RecvFrame(&reply) &&
-                 reply.type == FrameType::kGoodbyeAck;
-            if (!ok) {
-              ++local_failures;
-              break;  // connection state is unknown; stop this worker
-            }
-          }
-        }
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        ack_us.insert(ack_us.end(), local_us.begin(), local_us.end());
-        failures += local_failures;
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-
-  (*server)->RequestDrain();
-  server_thread.join();
-  fs::remove_all(dir, ec);
-
-  SMETER_CHECK(failures == 0);
-  std::sort(ack_us.begin(), ack_us.end());
-  auto percentile = [&](double p) {
-    if (ack_us.empty()) return 0.0;
-    const size_t index = std::min(
-        ack_us.size() - 1, static_cast<size_t>(p * (ack_us.size() - 1)));
-    return ack_us[index];
-  };
-  state.counters["ack_p50_us"] = percentile(0.50);
-  state.counters["ack_p99_us"] = percentile(0.99);
-  state.counters["shards"] = static_cast<double>(shards);
-  state.counters["connections"] = static_cast<double>(conns);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kShardFleet * kShardBatches *
-                                               kBatchSymbols));
-}
-BENCHMARK(BM_ShardedIngest)
-    ->ArgNames({"shards", "conns"})
-    ->ArgsProduct({{1, 2, 4, 8}, {1, 4, 16, 64}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MinTime(0.2);
 
 }  // namespace
 }  // namespace smeter::net

@@ -1,6 +1,5 @@
-// Micro-benchmarks for the archive-store read path and the queryd serving
-// layer on top of it. `run_bench.sh` merges the JSON output into
-// BENCH_micro.json.
+// Micro-benchmarks for the archive-store read path. `run_bench.sh` merges
+// the JSON output into BENCH_micro.json.
 //
 // The numbers to look for:
 //   BM_StorePointLookup/meters:N  -- hot current-table lookups; the
@@ -14,10 +13,9 @@
 //     rollup rows alone (no segment reads); edges:1 is a ragged window
 //     whose two edge partitions fall back to segment scans. The gap
 //     between the two rows is what the rollup tables buy.
-//   BM_QuerydPoint / BM_QuerydRange / BM_QuerydAggregate -- the same three
-//     queries end to end through a loopback queryd (framing, CRC32C,
-//     session state machine, epoll loop); items_per_second is queries/s
-//     on one connection.
+//
+// End-to-end serving numbers (framing, the epoll loop, queryd beside live
+// uploads) come from perfbench's live_serve workload, not from here.
 
 #include <benchmark/benchmark.h>
 
@@ -26,8 +24,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -35,8 +31,6 @@
 #include "core/archive_store.h"
 #include "core/codec.h"
 #include "core/symbolic_series.h"
-#include "net/query_client.h"
-#include "net/query_server.h"
 
 namespace smeter {
 namespace {
@@ -190,95 +184,6 @@ BENCHMARK(BM_StoreAggregate)
     ->ArgNames({"meters", "edges"})
     ->ArgsProduct({{64, 512}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
-
-// --------------------------------------------------------------------------
-// End-to-end serving: a loopback queryd over the 64-meter fixture store,
-// one blocking client issuing synchronous queries.
-
-struct RunningQueryd {
-  explicit RunningQueryd(const std::string& store_dir) {
-    net::QueryServerOptions options;
-    options.store_dir = store_dir;
-    options.idle_timeout_ms = 60'000;
-    Result<std::unique_ptr<net::QueryServer>> created =
-        net::QueryServer::Create(std::move(options));
-    SMETER_CHECK(created.ok());
-    server = std::move(*created);
-    thread = std::thread([this] {
-      Status run = server->Run();
-      SMETER_CHECK(run.ok());
-    });
-  }
-
-  ~RunningQueryd() {
-    server->RequestDrain();
-    thread.join();
-  }
-
-  std::unique_ptr<net::QueryClient> Connect() {
-    net::QueryClientOptions options;
-    options.port = server->port();
-    Result<std::unique_ptr<net::QueryClient>> client =
-        net::QueryClient::Connect(std::move(options));
-    SMETER_CHECK(client.ok());
-    return std::move(*client);
-  }
-
-  std::unique_ptr<net::QueryServer> server;
-  std::thread thread;
-};
-
-void BM_QuerydPoint(benchmark::State& state) {
-  StoreFixture& fixture = StoreFixture::Get(64);
-  RunningQueryd queryd(fixture.store_dir());
-  std::unique_ptr<net::QueryClient> client = queryd.Connect();
-  size_t i = 0;
-  for (auto _ : state) {
-    Result<net::PointResultPayload> point =
-        client->Point(StoreFixture::MeterName(i++ % fixture.meters()));
-    SMETER_CHECK(point.ok());
-    SMETER_CHECK(point->status == net::WireStatus::kOk);
-    benchmark::DoNotOptimize(point->symbol);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_QuerydPoint)->Unit(benchmark::kMicrosecond);
-
-void BM_QuerydRange(benchmark::State& state) {
-  StoreFixture& fixture = StoreFixture::Get(64);
-  RunningQueryd queryd(fixture.store_dir());
-  std::unique_ptr<net::QueryClient> client = queryd.Connect();
-  size_t i = 0;
-  for (auto _ : state) {
-    Result<net::RangeResultPayload> range = client->Range(
-        StoreFixture::MeterName(i++ % fixture.meters()),
-        TimeRange{0, kWindowEnd}, 3,
-        static_cast<uint32_t>(kWindowsPerMeter));
-    SMETER_CHECK(range.ok());
-    SMETER_CHECK(range->status == net::WireStatus::kOk);
-    SMETER_CHECK(range->symbols.size() == kWindowsPerMeter);
-    benchmark::DoNotOptimize(range->symbols.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kWindowsPerMeter));
-}
-BENCHMARK(BM_QuerydRange)->Unit(benchmark::kMicrosecond);
-
-void BM_QuerydAggregate(benchmark::State& state) {
-  StoreFixture& fixture = StoreFixture::Get(64);
-  RunningQueryd queryd(fixture.store_dir());
-  std::unique_ptr<net::QueryClient> client = queryd.Connect();
-  for (auto _ : state) {
-    Result<net::AggregateResultPayload> aggregate =
-        client->Aggregate(TimeRange{0, kWindowEnd}, 3);
-    SMETER_CHECK(aggregate.ok());
-    SMETER_CHECK(aggregate->status == net::WireStatus::kOk);
-    SMETER_CHECK(aggregate->meters == fixture.meters());
-    benchmark::DoNotOptimize(aggregate->histogram.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_QuerydAggregate)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace smeter

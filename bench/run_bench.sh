@@ -18,32 +18,23 @@
 #   BM_SessionIngest                  -- symbols/s through the full wire
 #                                        protocol state machine (the
 #                                        single-connection ingest ceiling)
-#   BM_ShardedIngest/shards:S/conns:C -- aggregate symbols/s through a real
-#                                        loopback ingestd at S epoll shards
-#                                        driven by C persistent connections;
-#                                        ack_p50_us / ack_p99_us are the
-#                                        batch->ack round-trip percentiles
 #   BM_StoreAggregate/meters:N/edges:0 vs edges:1
 #                                     -- fleet aggregate served from rollup
 #                                        rows alone (partition-aligned
 #                                        window) vs with edge-partition
 #                                        segment scans; the gap is what the
 #                                        pre-computed rollups buy
-#   BM_QuerydPoint/Range/Aggregate    -- per-query latency end to end
-#                                        through a loopback queryd (one
-#                                        connection, synchronous)
+#
+# End-to-end numbers through the daemons (ingestd uploads, queryd
+# point/range/aggregate latency) come from perfbench/run.py, not from
+# these kernels.
 #
 # Query-bench methodology: each store benchmark runs against a synthetic
 # fixture store (N meters x 3 daily partitions of level-8 symbols at
 # 30-minute cadence, deterministic LCG data, built once per process via
-# BuildArchiveStore), so numbers are comparable run to run. The queryd
-# rows include real framing + CRC32C + epoll round trips on loopback;
-# subtract the matching BM_Store* row to estimate pure serving overhead.
-# On single-core hosts the thread-count sweeps collapse to serial
-# throughput; the per-sample kernel speedup is machine-independent. The
-# BM_ShardedIngest shard axis collapses the same way (S shard threads
-# time-slicing one CPU cannot beat S=1) — the >=4x aggregate scaling at 8
-# shards only shows on a host with >=8 cores.
+# BuildArchiveStore), so numbers are comparable run to run. On
+# single-core hosts the thread-count sweeps collapse to serial
+# throughput; the per-sample kernel speedup is machine-independent.
 #
 # The report is refused unless the smeter code under test was built in
 # release mode (NDEBUG): debug-build numbers are garbage. The check reads

@@ -1,16 +1,8 @@
 #include "client/uploader.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <thread>
@@ -18,6 +10,7 @@
 
 #include "client/spool.h"
 #include "common/fault_injection.h"
+#include "net/framed_client.h"
 #include "net/wire.h"
 
 namespace smeter::client {
@@ -28,135 +21,14 @@ using net::Frame;
 using net::FrameType;
 using net::WireStatus;
 
-Status Errno(const std::string& what) {
-  return InternalError(what + ": " + std::strerror(errno));
-}
-
-// Per-spool deterministic jitter seed (FNV-1a of the meter id): distinct
-// meters draw distinct backoff schedules without sharing rng state — the
-// same de-synchronization argument as the load generator's retry loop.
-uint64_t JitterSeed(const std::string& name) {
-  uint64_t seed = 0xcbf29ce484222325ull;
-  for (char ch : name) {
-    seed = (seed ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+// The kill-at-every-frame seam: an injected `client.send` failure aborts
+// the conversation exactly as a client crash between two writes would.
+Status SendFrame(net::FramedClient* transport, const Frame& frame) {
+  if (Status fault = fault::Check("client.send"); !fault.ok()) {
+    transport->Abort();
+    return fault;
   }
-  return seed == 0 ? 0x9e3779b97f4a7c15ull : seed;
-}
-
-// Blocking framed-protocol transport over one TCP connection. This is the
-// SDK's own copy (the load generator keeps its MeterClient private): the
-// fault seams differ — `client.connect` and `client.send` here model the
-// edge device's network, where `loadgen.drop` models a dying load source.
-class Transport {
- public:
-  ~Transport() { CloseFd(); }
-
-  Status Connect(const std::string& host, uint16_t port, int64_t timeout_ms) {
-    CloseFd();
-    in_.clear();
-    // The partition seam: tests fail connects deterministically or with a
-    // seeded probability to simulate an unreachable aggregator.
-    SMETER_FAULT_POINT("client.connect");
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return Errno("socket");
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    const int enable = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      return InvalidArgumentError("bad host '" + host + "'");
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return Errno("connect " + host + ":" + std::to_string(port));
-    }
-    return Status::Ok();
-  }
-
-  Status SendFrame(const Frame& frame) {
-    // The kill-at-every-frame seam: an injected failure here aborts the
-    // conversation exactly as a client crash between two writes would.
-    if (Status fault = fault::Check("client.send"); !fault.ok()) {
-      Abort();
-      return fault;
-    }
-    const std::string bytes = EncodeFrame(frame);
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      ssize_t n = ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-      if (n > 0) {
-        sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      return Errno("write");
-    }
-    return Status::Ok();
-  }
-
-  Result<Frame> RecvFrame() {
-    for (;;) {
-      net::DecodeResult decoded = net::DecodeFrame(in_);
-      if (decoded.outcome == net::DecodeResult::Outcome::kFrame) {
-        in_.erase(0, decoded.consumed);
-        return std::move(decoded.frame);
-      }
-      if (decoded.outcome == net::DecodeResult::Outcome::kError) {
-        return decoded.error;
-      }
-      char chunk[16 * 1024];
-      ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n > 0) {
-        in_.append(chunk, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        return InternalError("server closed the connection");
-      }
-      if (errno == EINTR) continue;
-      return Errno("read");
-    }
-  }
-
-  void Abort() {
-    if (fd_ >= 0) {
-      ::shutdown(fd_, SHUT_RDWR);
-      CloseFd();
-    }
-  }
-
- private:
-  void CloseFd() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  int fd_ = -1;
-  std::string in_;
-};
-
-Status ExpectOkAck(const Frame& frame, FrameType type) {
-  if (frame.type != type) {
-    return InternalError("expected ack type " +
-                         std::to_string(static_cast<int>(type)) + ", got " +
-                         std::to_string(static_cast<int>(frame.type)));
-  }
-  Result<net::AckPayload> ack = net::ParseAck(frame);
-  if (!ack.ok()) return ack.status();
-  if (ack->status != WireStatus::kOk) {
-    return InternalError(std::string("server refused: [") +
-                         net::WireStatusName(ack->status) + "] " +
-                         ack->message);
-  }
-  return Status::Ok();
+  return transport->SendFrame(frame);
 }
 
 // A THROTTLE in place of any awaited ack fails the attempt and records the
@@ -186,7 +58,10 @@ Status CheckThrottle(const Frame& frame, const std::string& meter_id,
 Status UploadConversation(const UploaderOptions& options,
                           const SpoolContents& spool, UploadOutcome* outcome,
                           uint32_t* retry_hint_ms) {
-  Transport transport;
+  // The partition seam: tests fail connects deterministically or with a
+  // seeded probability to simulate an unreachable aggregator.
+  SMETER_FAULT_POINT("client.connect");
+  net::FramedClient transport;
   SMETER_RETURN_IF_ERROR(
       transport.Connect(options.host, options.port, options.io_timeout_ms));
 
@@ -194,25 +69,25 @@ Status UploadConversation(const UploaderOptions& options,
   hello.protocol_version = net::kProtocolVersion;
   hello.meter_id = spool.header.meter_id;
   hello.auth_token = options.auth_token;
-  SMETER_RETURN_IF_ERROR(transport.SendFrame(net::MakeHello(hello)));
+  SMETER_RETURN_IF_ERROR(SendFrame(&transport, net::MakeHello(hello)));
   ++outcome->frames_sent;
   Result<Frame> reply = transport.RecvFrame();
   if (!reply.ok()) return reply.status();
   SMETER_RETURN_IF_ERROR(
       CheckThrottle(*reply, hello.meter_id, outcome, retry_hint_ms));
-  SMETER_RETURN_IF_ERROR(ExpectOkAck(*reply, FrameType::kHelloAck));
+  SMETER_RETURN_IF_ERROR(net::ExpectOkAck(*reply, FrameType::kHelloAck));
 
   net::TableAnnouncePayload announce;
   announce.table_version = spool.header.table_version;
   announce.table_blob = spool.header.table_blob;
   SMETER_RETURN_IF_ERROR(
-      transport.SendFrame(net::MakeTableAnnounce(announce)));
+      SendFrame(&transport, net::MakeTableAnnounce(announce)));
   ++outcome->frames_sent;
   reply = transport.RecvFrame();
   if (!reply.ok()) return reply.status();
   SMETER_RETURN_IF_ERROR(
       CheckThrottle(*reply, hello.meter_id, outcome, retry_hint_ms));
-  SMETER_RETURN_IF_ERROR(ExpectOkAck(*reply, FrameType::kTableAck));
+  SMETER_RETURN_IF_ERROR(net::ExpectOkAck(*reply, FrameType::kTableAck));
 
   for (const SpoolBatch& spooled : spool.batches) {
     net::SymbolBatchPayload batch;
@@ -221,7 +96,7 @@ Status UploadConversation(const UploaderOptions& options,
     batch.step_seconds = spool.header.step_seconds;
     batch.level = spool.header.level;
     batch.symbols = spooled.symbols;
-    SMETER_RETURN_IF_ERROR(transport.SendFrame(net::MakeSymbolBatch(batch)));
+    SMETER_RETURN_IF_ERROR(SendFrame(&transport, net::MakeSymbolBatch(batch)));
     ++outcome->frames_sent;
     outcome->symbols_sent += spooled.symbols.size();
     reply = transport.RecvFrame();
@@ -241,13 +116,13 @@ Status UploadConversation(const UploaderOptions& options,
   goodbye.windows_valid = spool.seal.windows_valid;
   goodbye.windows_partial = spool.seal.windows_partial;
   goodbye.windows_gap = spool.seal.windows_gap;
-  SMETER_RETURN_IF_ERROR(transport.SendFrame(net::MakeGoodbye(goodbye)));
+  SMETER_RETURN_IF_ERROR(SendFrame(&transport, net::MakeGoodbye(goodbye)));
   ++outcome->frames_sent;
   reply = transport.RecvFrame();
   if (!reply.ok()) return reply.status();
   SMETER_RETURN_IF_ERROR(
       CheckThrottle(*reply, hello.meter_id, outcome, retry_hint_ms));
-  return ExpectOkAck(*reply, FrameType::kGoodbyeAck);
+  return net::ExpectOkAck(*reply, FrameType::kGoodbyeAck);
 }
 
 }  // namespace
@@ -290,7 +165,7 @@ UploadOutcome UploadSpool(const UploaderOptions& options,
   }
 
   const int attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
-  uint64_t rng = JitterSeed(outcome.meter_id);
+  uint64_t rng = net::JitterSeed(outcome.meter_id);
   uint32_t retry_hint_ms = 0;
   Status last = InternalError("no attempts made");
   for (int attempt = 1; attempt <= attempts; ++attempt) {

@@ -1,7 +1,9 @@
 #include "common/status.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace smeter {
 
@@ -63,6 +65,10 @@ Status UnimplementedError(std::string message) {
 }
 Status DataLossError(std::string message) {
   return Status(StatusCode::kDataLoss, std::move(message));
+}
+Status ErrnoError(const std::string& what) {
+  const std::error_code error(errno, std::generic_category());
+  return InternalError(what + ": " + error.message());
 }
 
 }  // namespace smeter

@@ -71,6 +71,8 @@ Status FailedPreconditionError(std::string message);
 Status InternalError(std::string message);
 Status UnimplementedError(std::string message);
 Status DataLossError(std::string message);
+// InternalError("<what>: <strerror(errno)>") for a failed system call.
+Status ErrnoError(const std::string& what);
 
 namespace internal {
 // Prints `message` (with the offending status, if any) and aborts. Lives in

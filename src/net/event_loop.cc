@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <ctime>
 #include <utility>
 
@@ -18,10 +17,6 @@
 
 namespace smeter::net {
 namespace {
-
-Status Errno(const std::string& what) {
-  return InternalError(what + ": " + std::strerror(errno));
-}
 
 constexpr size_t kReadChunk = 64 * 1024;
 
@@ -31,17 +26,17 @@ constexpr size_t kReadChunk = 64 * 1024;
 
 Result<std::unique_ptr<EventLoop>> EventLoop::Create() {
   int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd < 0) return Errno("epoll_create1");
+  if (epoll_fd < 0) return ErrnoError("epoll_create1");
   int timer_fd = ::timerfd_create(CLOCK_MONOTONIC,
                                   TFD_NONBLOCK | TFD_CLOEXEC);
   if (timer_fd < 0) {
-    Status status = Errno("timerfd_create");
+    Status status = ErrnoError("timerfd_create");
     ::close(epoll_fd);
     return status;
   }
   int wakeup_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wakeup_fd < 0) {
-    Status status = Errno("eventfd");
+    Status status = ErrnoError("eventfd");
     ::close(timer_fd);
     ::close(epoll_fd);
     return status;
@@ -52,11 +47,11 @@ Result<std::unique_ptr<EventLoop>> EventLoop::Create() {
   event.events = EPOLLIN;
   event.data.fd = timer_fd;
   if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, timer_fd, &event) != 0) {
-    return Errno("epoll_ctl(timerfd)");
+    return ErrnoError("epoll_ctl(timerfd)");
   }
   event.data.fd = wakeup_fd;
   if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wakeup_fd, &event) != 0) {
-    return Errno("epoll_ctl(eventfd)");
+    return ErrnoError("epoll_ctl(eventfd)");
   }
   return loop;
 }
@@ -75,7 +70,7 @@ Status EventLoop::Add(int fd, uint32_t events, FdHandler handler) {
   event.events = events;
   event.data.fd = fd;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
-    return Errno("epoll_ctl(add fd " + std::to_string(fd) + ")");
+    return ErrnoError("epoll_ctl(add fd " + std::to_string(fd) + ")");
   }
   handlers_[fd] = std::make_shared<FdHandler>(std::move(handler));
   return Status::Ok();
@@ -86,7 +81,7 @@ Status EventLoop::Modify(int fd, uint32_t events) {
   event.events = events;
   event.data.fd = fd;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event) != 0) {
-    return Errno("epoll_ctl(mod fd " + std::to_string(fd) + ")");
+    return ErrnoError("epoll_ctl(mod fd " + std::to_string(fd) + ")");
   }
   return Status::Ok();
 }
@@ -94,7 +89,7 @@ Status EventLoop::Modify(int fd, uint32_t events) {
 Status EventLoop::Remove(int fd) {
   handlers_.erase(fd);
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
-    return Errno("epoll_ctl(del fd " + std::to_string(fd) + ")");
+    return ErrnoError("epoll_ctl(del fd " + std::to_string(fd) + ")");
   }
   return Status::Ok();
 }
@@ -187,7 +182,7 @@ Status EventLoop::RunOnce(int timeout_ms) {
   int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
   if (n < 0) {
     if (errno == EINTR) return Status::Ok();
-    return Errno("epoll_wait");
+    return ErrnoError("epoll_wait");
   }
   for (int i = 0; i < n; ++i) {
     const int fd = events[i].data.fd;
@@ -307,7 +302,7 @@ void BufferedFd::HandleReadable() {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    Close(Errno("read"));
+    Close(ErrnoError("read"));
     return;
   }
   DeliverInput();
@@ -364,7 +359,7 @@ Status BufferedFd::FlushSome() {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    return Errno("write");
+    return ErrnoError("write");
   }
   const bool need_write = !out_.empty();
   if (need_write != want_write_) {
@@ -441,7 +436,7 @@ Status BufferedFd::SendVec(const std::string_view* parts, size_t count) {
       }
       skip = written;
     } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      Status status = Errno("writev");
+      Status status = ErrnoError("writev");
       Close(status);
       return status;
     }

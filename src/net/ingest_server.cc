@@ -1,109 +1,21 @@
 #include "net/ingest_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <thread>
 #include <utility>
 
-#include "common/fault_injection.h"
-
 namespace smeter::net {
 namespace {
-
-Status Errno(const std::string& what) {
-  return InternalError(what + ": " + std::strerror(errno));
-}
 
 // Reply frames queued per epoll event before one scatter-gather flush;
 // matches BufferedFd::SendVec's single-writev segment budget.
 constexpr size_t kReplyFlushBatch = 64;
 
-// Creates a nonblocking listening socket on host:port. With `reuseport`,
-// SO_REUSEPORT is set before bind so every shard can own a listener on the
-// same address and the kernel spreads accepts across them; a kernel that
-// refuses the option surfaces as an error here and the caller falls back
-// to the single-acceptor topology.
-Result<int> BindListener(const std::string& host, uint16_t port,
-                         bool reuseport, uint16_t* bound_port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Errno("socket");
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  if (reuseport &&
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &enable, sizeof(enable)) !=
-          0) {
-    Status status = Errno("setsockopt(SO_REUSEPORT)");
-    ::close(fd);
-    return status;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return InvalidArgumentError("bad listen host '" + host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status status = Errno("bind " + host + ":" + std::to_string(port));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, SOMAXCONN) != 0) {
-    Status status = Errno("listen");
-    ::close(fd);
-    return status;
-  }
-  if (bound_port != nullptr) {
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-        0) {
-      Status status = Errno("getsockname");
-      ::close(fd);
-      return status;
-    }
-    *bound_port = ntohs(bound.sin_port);
-  }
-  return fd;
-}
-
 }  // namespace
-
-Status ParseListenAddress(const std::string& address, std::string* host,
-                          uint16_t* port) {
-  std::string host_part = "127.0.0.1";
-  std::string port_part = address;
-  const size_t colon = address.rfind(':');
-  if (colon != std::string::npos) {
-    if (colon > 0) host_part = address.substr(0, colon);
-    port_part = address.substr(colon + 1);
-  }
-  if (port_part.empty()) {
-    return InvalidArgumentError("missing port in '" + address + "'");
-  }
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(port_part.c_str(), &end, 10);
-  if (end == port_part.c_str() || *end != '\0' || value > 65535) {
-    return InvalidArgumentError("bad port '" + port_part + "' in '" +
-                                address + "'");
-  }
-  *host = host_part;
-  *port = static_cast<uint16_t>(value);
-  return Status::Ok();
-}
 
 uint64_t MeterShardHash(std::string_view meter_id) {
   // FNV-1a. Stability matters: reconnecting meters must land on the same
@@ -189,25 +101,22 @@ std::string IngestCounters::ToJson() const {
 
 // --- IngestShard ------------------------------------------------------------
 //
-// One core's worth of the daemon: an EventLoop, an (optional) listener,
-// a connection table, and counters — all single-writer under this shard's
-// own role capability. Cross-shard traffic happens through exactly two
+// One core's worth of the daemon: a ServerCore (loop, optional listener,
+// connection table) plus the ingest protocol state — all single-writer on
+// the shard's loop thread. Cross-shard traffic happens through exactly two
 // thread-safe doors: the handoff mailbox (mutex + eventfd wakeup) and the
 // server-level upcalls (NoteCompleted/PublishStats).
-class IngestShard {
+class IngestShard : private ServerHandler {
  public:
   IngestShard(IngestServer* server, int index, int listen_fd,
               std::unique_ptr<EventLoop> loop, bool deal_round_robin)
       : server_(server),
         index_(index),
         deal_round_robin_(deal_round_robin),
-        listen_fd_(listen_fd),
-        loop_(std::move(loop)) {}
+        core_(CoreOptions(server->options()), listen_fd, std::move(loop),
+              this) {}
 
-  ~IngestShard() {
-    ScopedThreadRole owner(role_);
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (reserve_fd_ >= 0) ::close(reserve_fd_);
+  ~IngestShard() override {
     // Handoffs that arrived after this shard stopped never became
     // connections; close their fds (and return their admission charges)
     // so nothing leaks.
@@ -221,57 +130,23 @@ class IngestShard {
   IngestShard(const IngestShard&) = delete;
   IngestShard& operator=(const IngestShard&) = delete;
 
-  // Wires the acceptor, wakeup handler, and idle sweep into the loop.
   // Called by the creating thread before any shard thread starts.
   Status Setup() {
-    ScopedThreadRole owner(role_);
-    ScopedThreadRole loop_owner(loop_->role());
-    if (listen_fd_ >= 0) {
-      SMETER_RETURN_IF_ERROR(
-          loop_->Add(listen_fd_, EPOLLIN | EPOLLET, [this](uint32_t) {
-            ScopedThreadRole owner(role_);
-            OnAcceptable();
-          }));
-    }
-    loop_->SetWakeupHandler([this] {
-      ScopedThreadRole owner(role_);
-      OnWakeup();
-    });
-    // Reserved fd for the EMFILE escape hatch: when accept4 hits the fd
-    // limit, this slot is briefly freed so the backlog can be accepted
-    // and refused instead of spinning on a level that never clears.
-    reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    const int64_t sweep = SweepPeriodMs();
-    if (sweep > 0) {
-      loop_->RunAfter(sweep, [this] {
-        ScopedThreadRole owner(role_);
-        SweepTimeouts();
-      });
-    }
-    return Status::Ok();
+    ScopedThreadRole core_owner(core_.role());
+    return core_.Setup();
   }
 
-  // The shard thread's main: claims this shard's role for the loop's
-  // lifetime. A loop failure drains the whole server so Run() can join.
+  // The shard thread's main. A loop failure drains the whole server so
+  // Run() can join.
   Status Run() {
-    Status status;
-    {
-      ScopedThreadRole owner(role_);
-      status = loop_->Run();
-    }
+    Status status = core_.Run();
     if (!status.ok()) server_->RequestDrain();
     return status;
   }
 
   // Thread- and async-signal-safe (atomic store + eventfd write).
-  void RequestDrain() {
-    drain_requested_.store(true);
-    loop_->Wakeup();
-  }
-  void RequestStats() {
-    stats_requested_.store(true);
-    loop_->Wakeup();
-  }
+  void RequestDrain() { core_.RequestDrain(); }
+  void RequestStats() { core_.RequestStats(); }
 
   // Thread-safe: queues a connection (fd + bytes its source shard already
   // read) for adoption on this shard's loop thread.
@@ -280,7 +155,7 @@ class IngestShard {
       MutexLock lock(handoff_mutex_);
       handoff_queue_.push_back(Handoff{fd, std::move(pending)});
     }
-    loop_->Wakeup();
+    core_.Wakeup();
   }
 
   // Owner-only snapshot (after the shard thread joined, or before it
@@ -291,11 +166,8 @@ class IngestShard {
   }
 
  private:
-  struct Connection {
-    uint64_t id = 0;
-    std::unique_ptr<BufferedFd> io;
+  struct Connection : ServerConnection {
     Session session;
-    int64_t last_active_ms = 0;
     // Home shard decided (the HELLO peek ran, or the first frame was not a
     // parseable HELLO and the connection stays here).
     bool pinned = false;
@@ -308,8 +180,8 @@ class IngestShard {
     // kept in sync by UpdateTrackedMemory.
     size_t tracked_bytes = 0;
 
-    Connection(uint64_t id, SessionOptions session_options)
-        : id(id), session(std::move(session_options)) {}
+    explicit Connection(SessionOptions session_options)
+        : session(std::move(session_options)) {}
   };
 
   struct Handoff {
@@ -317,177 +189,139 @@ class IngestShard {
     std::string pending;
   };
 
-  void OnAcceptable() REQUIRES(role_) {
-    for (;;) {
-      int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                         SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        if (errno == EMFILE || errno == ENFILE) {
-          // Fd exhaustion: the listener is edge-triggered, so leaving the
-          // backlog unaccepted would wedge the acceptor (no new edge until
-          // a new connection arrives). Burn the reserved fd to accept and
-          // refuse the backlog cleanly.
-          ShedBacklogViaReserve();
-          return;
-        }
-        // Other transient accept failures must never kill the daemon; the
-        // meter retries.
+  static ServerCoreOptions CoreOptions(const IngestServerOptions& options) {
+    ServerCoreOptions core;
+    core.accept_seam = "net.accept";
+    core.idle_timeout_ms = options.idle_timeout_ms;
+    core.write_stall_ms = options.write_stall_ms;
+    core.drain_grace_ms = options.drain_grace_ms;
+    core.high_watermark = options.high_watermark;
+    core.sndbuf_bytes = options.sndbuf_bytes;
+    core.throttle_retry_ms = options.throttle_retry_ms;
+    return core;
+  }
+
+  // --- ServerHandler hooks: each claims the shard role and forwards ------
+
+  void OnAccept(int fd) override {
+    ScopedThreadRole owner(role_);
+    // Admission control: over the global budget, the connection gets a
+    // THROTTLE and an immediate close — a clean refusal the client can
+    // back off from, instead of a SYN backlog it can't read.
+    if (!server_->TryAdmit()) {
+      ScopedThreadRole core_owner(core_.role());
+      core_.Shed(fd);
+      return;
+    }
+    ++counters_.sessions_accepted;
+    if (deal_round_robin_) {
+      // Single-acceptor fallback: deal raw fds round-robin before any
+      // byte is read; the receiving shard's HELLO peek re-homes the
+      // connection by meter hash if the deal missed.
+      const int target = static_cast<int>(
+          next_deal_++ % static_cast<uint64_t>(server_->shard_count()));
+      if (target != index_) {
+        ++counters_.handoffs_out;
+        server_->shard(target)->EnqueueHandoff(fd, std::string());
         return;
       }
-      // Fault seam: a dropped accept costs one connection, not the server.
-      if (Status fault = fault::Check("net.accept"); !fault.ok()) {
-        ::close(fd);
-        ++counters_.sessions_dropped;
-        continue;
-      }
-      // Admission control: over the global budget, the connection gets a
-      // THROTTLE and an immediate close — a clean refusal the client can
-      // back off from, instead of a SYN backlog it can't read.
-      if (!server_->TryAdmit()) {
-        ShedConnection(fd, ThrottleScope::kAdmission);
-        continue;
-      }
-      ++counters_.sessions_accepted;
-      if (deal_round_robin_) {
-        // Single-acceptor fallback: deal raw fds round-robin before any
-        // byte is read; the receiving shard's HELLO peek re-homes the
-        // connection by meter hash if the deal missed.
-        const int target = static_cast<int>(
-            next_deal_++ % static_cast<uint64_t>(server_->shard_count()));
-        if (target != index_) {
-          ++counters_.handoffs_out;
-          server_->shard(target)->EnqueueHandoff(fd, std::string());
-          continue;
-        }
-      }
-      AdoptConnection(fd, std::string(), /*via_handoff=*/false);
+    }
+    AdoptConnection(fd, {}, /*via_handoff=*/false);
+  }
+
+  size_t OnData(ServerConnection* conn, std::string_view data) override {
+    ScopedThreadRole owner(role_);
+    return HandleData(static_cast<Connection*>(conn), data);
+  }
+
+  void OnClosed(ServerConnection* conn, const Status& reason) override {
+    (void)reason;
+    ScopedThreadRole owner(role_);
+    Connection* ingest = static_cast<Connection*>(conn);
+    ScopedThreadRole writer(ingest->session.writer_role());
+    server_->ReleaseAdmission();
+    ReleaseTrackedMemory(ingest);
+    const Session::State state = ingest->session.state();
+    const bool clean_end =
+        state == Session::State::kComplete ||
+        (state == Session::State::kExpectHello && ingest->completed > 0);
+    if (!clean_end) {
+      // Disconnected mid-stream, protocol violation, timed out, or torn
+      // frame — nothing persisted; the meter reconnects and resends.
+      ++counters_.sessions_dropped;
     }
   }
 
-  void AdoptConnection(int fd, std::string pending, bool via_handoff)
-      REQUIRES(role_) {
-    // Per-shard cap binds where the connection would actually live (after
-    // the deal in single-acceptor mode). The global admission charge from
-    // accept time is returned on the refusal.
-    const int shard_cap = server_->options().max_connections_per_shard;
-    if (shard_cap > 0 &&
-        connections_.size() >= static_cast<size_t>(shard_cap)) {
-      ShedConnection(fd, ThrottleScope::kAdmission);
-      server_->ReleaseAdmission();
-      return;
-    }
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    if (const int sndbuf = server_->options().sndbuf_bytes; sndbuf > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
-    }
-
-    SessionOptions session_options = server_->options().session;
-    session_options.auth_token = server_->options().auth_token;
-    session_options.draining = draining_;
-
-    auto conn = std::make_unique<Connection>(next_conn_id_++,
-                                             std::move(session_options));
-    Connection* raw = conn.get();
-    raw->last_active_ms = EventLoop::NowMs();
-    raw->io = std::make_unique<BufferedFd>(
-        loop_.get(), fd,
-        BufferedFd::Callbacks{
-            [this, raw](std::string_view data) {
-              ScopedThreadRole owner(role_);
-              return OnData(raw, data);
-            },
-            [this, raw](const Status& reason) {
-              ScopedThreadRole owner(role_);
-              OnConnectionClosed(raw, reason);
-            }},
-        server_->options().high_watermark);
-    ScopedThreadRole io_owner(raw->io->role());
-    if (Status status = raw->io->Register(); !status.ok()) {
-      // Registration failed before on_close could be wired in; the
-      // connection never existed as far as the counters are concerned
-      // (the BufferedFd destructor closes the fd), so its admission
-      // charge goes back too.
-      server_->ReleaseAdmission();
-      return;
-    }
-    if (via_handoff) ++counters_.handoffs_in;
-    ++counters_.sessions_active;
-    connections_.emplace(raw->id, std::move(conn));
-    if (!pending.empty()) {
-      // Replay what the source shard already read: edge-triggered epoll
-      // shows no edge for bytes that left the socket on another shard.
-      raw->io->InjectInput(pending);
-      raw->io->Pump();
-    }
+  // Sessions that have not said HELLO yet are refused with kDraining;
+  // in-flight uploads get drain_grace_ms to finish.
+  void OnDraining(ServerConnection* conn) override {
+    Connection* ingest = static_cast<Connection*>(conn);
+    ScopedThreadRole writer(ingest->session.writer_role());
+    ingest->session.SetDraining();
   }
 
-  void AdoptHandoffs() REQUIRES(role_) {
+  void OnStats() override {
+    ScopedThreadRole owner(role_);
+    server_->PublishStats(index_, LiveSnapshot());
+  }
+
+  void OnMailbox() override {
+    ScopedThreadRole owner(role_);
     std::vector<Handoff> pending;
     {
       MutexLock lock(handoff_mutex_);
       pending.swap(handoff_queue_);
     }
     for (Handoff& handoff : pending) {
-      AdoptConnection(handoff.fd, std::move(handoff.pending),
-                      /*via_handoff=*/true);
+      AdoptConnection(handoff.fd, handoff.pending, /*via_handoff=*/true);
     }
   }
 
-  // Pre-encoded accept-time THROTTLE frame for `scope`, built once per
-  // shard (the shed path must not allocate per flood connection).
-  const std::string& ThrottleFrameFor(ThrottleScope scope) REQUIRES(role_) {
-    const size_t slot = static_cast<size_t>(scope) - 1;
-    if (throttle_frames_[slot].empty()) {
-      ThrottlePayload payload;
-      payload.retry_after_ms = server_->options().throttle_retry_ms;
-      payload.scope = scope;
-      payload.message = ThrottleScopeName(scope) + " limit; retry later";
-      throttle_frames_[slot] = EncodeFrame(MakeThrottle(payload));
-    }
-    return throttle_frames_[slot];
-  }
-
-  // Refuses a connection before it becomes a session: one best-effort
-  // THROTTLE write (a fresh socket's send buffer always has room for the
-  // handful of bytes, so the refusal usually reaches the peer), then
-  // close.
-  void ShedConnection(int fd, ThrottleScope scope) REQUIRES(role_) {
-    const std::string& frame = ThrottleFrameFor(scope);
-    const ssize_t n = ::write(fd, frame.data(), frame.size());
-    if (n == static_cast<ssize_t>(frame.size())) ++counters_.throttles_sent;
-    ::close(fd);
-    ++counters_.connections_shed;
-  }
-
-  // The EMFILE escape hatch: free the reserved fd, accept-and-refuse the
-  // backlog until it drains (each shed close frees the slot the next
-  // accept uses), then re-arm the reserve. Without this, an fd-exhausted
-  // edge-triggered acceptor never sees another readable edge for the
-  // connections already queued and the backlog sits until the peers give
-  // up.
-  void ShedBacklogViaReserve() REQUIRES(role_) {
-    ++counters_.accepts_emfile;
-    if (reserve_fd_ < 0) {
-      // The reserve itself could not be (re)opened under pressure; try
-      // again now — if even that fails the backlog must wait for a slot.
-      reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-      if (reserve_fd_ < 0) return;
-    }
-    ::close(reserve_fd_);
-    reserve_fd_ = -1;
-    for (;;) {
-      int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                         SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN: backlog drained; EMFILE: the slot vanished
+  // Rate buckets that have refilled to burst hold no information; prune
+  // them so the map only tracks meters currently being limited.
+  void OnSweep(int64_t now) override {
+    ScopedThreadRole owner(role_);
+    const double rate = server_->options().rate_limit;
+    if (rate <= 0 || buckets_.empty()) return;
+    const double burst = std::max(1.0, rate);
+    for (auto it = buckets_.begin(); it != buckets_.end();) {
+      const double refill =
+          static_cast<double>(now - it->second.last_ms) * rate / 1000.0;
+      if (it->second.tokens + refill >= burst) {
+        it = buckets_.erase(it);
+      } else {
+        ++it;
       }
-      ShedConnection(fd, ThrottleScope::kAdmission);
     }
-    reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  }
+
+  // --- protocol ------------------------------------------------------------
+
+  void AdoptConnection(int fd, std::string_view pending, bool via_handoff)
+      REQUIRES(role_) {
+    ScopedThreadRole core_owner(core_.role());
+    // Per-shard cap binds where the connection would actually live (after
+    // the deal in single-acceptor mode). The global admission charge from
+    // accept time is returned on the refusal.
+    const int shard_cap = server_->options().max_connections_per_shard;
+    if (shard_cap > 0 &&
+        core_.connection_count() >= static_cast<size_t>(shard_cap)) {
+      core_.Shed(fd);
+      server_->ReleaseAdmission();
+      return;
+    }
+    SessionOptions session_options = server_->options().session;
+    session_options.auth_token = server_->options().auth_token;
+    session_options.draining = core_.draining();
+    if (!core_.Adopt(fd,
+                     std::make_unique<Connection>(std::move(session_options)),
+                     pending)) {
+      // Registration failed before on_close could be wired in; the
+      // connection never existed, so its admission charge goes back too.
+      server_->ReleaseAdmission();
+      return;
+    }
+    if (via_handoff) ++counters_.handoffs_in;
   }
 
   // Per-meter token bucket (rate = options.rate_limit HELLOs/s, burst =
@@ -579,8 +413,9 @@ class IngestShard {
   void ScheduleDiskProbe() REQUIRES(role_) {
     if (probe_scheduled_) return;
     probe_scheduled_ = true;
-    ScopedThreadRole loop_owner(loop_->role());
-    loop_->RunAfter(server_->options().probe_interval_ms, [this] {
+    EventLoop* loop = core_.loop();
+    ScopedThreadRole loop_owner(loop->role());
+    loop->RunAfter(server_->options().probe_interval_ms, [this] {
       ScopedThreadRole owner(role_);
       probe_scheduled_ = false;
       if (!server_->sink()->MaybeProbe(EventLoop::NowMs())) {
@@ -592,12 +427,12 @@ class IngestShard {
   // Feeds `data` to the connection's frame decoder; returns bytes
   // consumed. The hot path: zero-copy frame views straight out of the
   // receive buffer, replies coalesced into one writev per event.
-  size_t OnData(Connection* conn, std::string_view data) REQUIRES(role_) {
+  size_t HandleData(Connection* conn, std::string_view data)
+      REQUIRES(role_) {
     // On this shard's loop thread, the shard is the one writer of the
     // connection's session and the one driver of its BufferedFd.
     ScopedThreadRole writer(conn->session.writer_role());
     ScopedThreadRole io_owner(conn->io->role());
-    conn->last_active_ms = EventLoop::NowMs();
 
     if (!conn->pinned) {
       // HELLO peek: decide this connection's home shard before consuming
@@ -727,34 +562,18 @@ class IngestShard {
   // shard. Must run before any frame is consumed or reply queued (HELLO
   // peek time), so no output can be stranded here.
   void HandoffConnection(Connection* conn, int target) REQUIRES(role_) {
-    ScopedThreadRole io_owner(conn->io->role());
-    BufferedFd::Released released = conn->io->ReleaseFd();
+    BufferedFd::Released released;
+    {
+      ScopedThreadRole core_owner(core_.role());
+      released = core_.Detach(conn);
+    }
     ++counters_.handoffs_out;
-    --counters_.sessions_active;
     // The memory charge moves with the connection (the target re-measures
     // on adoption); the global admission charge just stays put — it is
     // still one live connection.
     ReleaseTrackedMemory(conn);
-    HarvestIoCounters(conn);
-    auto it = connections_.find(conn->id);
-    if (it != connections_.end()) {
-      graveyard_.push_back(std::move(it->second));
-      connections_.erase(it);
-    }
-    ScheduleReap();
     server_->shard(target)->EnqueueHandoff(released.fd,
                                            std::move(released.pending_in));
-  }
-
-  // Folds a departing connection's BufferedFd statistics into the shard
-  // counters (close and handoff both end the fd's life on this shard).
-  void HarvestIoCounters(Connection* conn) REQUIRES(role_) {
-    ScopedThreadRole io_owner(conn->io->role());
-    counters_.bytes_in += conn->io->bytes_in();
-    counters_.bytes_out += conn->io->bytes_out();
-    counters_.backpressure_stalls += conn->io->stalls();
-    counters_.writev_calls += conn->io->writev_calls();
-    counters_.writev_segments += conn->io->writev_segments();
   }
 
   // Persists (or duplicate-acks) a completed session and queues the
@@ -816,8 +635,9 @@ class IngestShard {
       }
     }
     QueueReply(MakeAck(FrameType::kGoodbyeAck, ack));
+    ScopedThreadRole core_owner(core_.role());
     bool keep_alive;
-    if (draining_) {
+    if (core_.draining()) {
       // No next session during drain: flush the ack and close.
       FlushReplies(conn);
       if (!conn->io->closed()) conn->io->CloseAfterFlush(Status::Ok());
@@ -839,7 +659,7 @@ class IngestShard {
     // the tripping shard keeps the single-shard tests deterministic.
     if (completed && server_->NoteCompleted(meter)) {
       FlushReplies(conn);
-      BeginDrain();
+      core_.BeginDrain();
       server_->RequestDrain();
     }
     return keep_alive && !conn->io->closed();
@@ -856,204 +676,37 @@ class IngestShard {
     if (!conn->io->closed()) conn->io->CloseAfterFlush(std::move(error));
   }
 
-  void OnConnectionClosed(Connection* conn, const Status& reason)
-      REQUIRES(role_) {
-    (void)reason;
-    ScopedThreadRole writer(conn->session.writer_role());
-    --counters_.sessions_active;
-    server_->ReleaseAdmission();
-    ReleaseTrackedMemory(conn);
-    HarvestIoCounters(conn);
-    const Session::State state = conn->session.state();
-    const bool clean_end =
-        state == Session::State::kComplete ||
-        (state == Session::State::kExpectHello && conn->completed > 0);
-    if (!clean_end) {
-      // Disconnected mid-stream, protocol violation, timed out, or torn
-      // frame — nothing persisted; the meter reconnects and resends.
-      ++counters_.sessions_dropped;
-    }
-    // on_close can fire while this connection's own BufferedFd callbacks
-    // are on the stack, so defer destruction to the next loop pass.
-    auto it = connections_.find(conn->id);
-    if (it != connections_.end()) {
-      graveyard_.push_back(std::move(it->second));
-      connections_.erase(it);
-    }
-    ScheduleReap();
-    if (draining_) FinishDrainIfIdle();
-  }
-
-  void ScheduleReap() REQUIRES(role_) {
-    if (reap_scheduled_) return;
-    reap_scheduled_ = true;
-    ScopedThreadRole loop_owner(loop_->role());
-    loop_->RunAfter(0, [this] {
-      ScopedThreadRole owner(role_);
-      ReapClosed();
-    });
-  }
-
-  void ReapClosed() REQUIRES(role_) {
-    reap_scheduled_ = false;
-    graveyard_.clear();
-    if (draining_) FinishDrainIfIdle();
-  }
-
-  // Sweep cadence: half the tightest enabled deadline, floored at 100 ms;
-  // 0 when both timeout mechanisms are off.
-  int64_t SweepPeriodMs() const {
-    const int64_t idle = server_->options().idle_timeout_ms;
-    const int64_t stall = server_->options().write_stall_ms;
-    int64_t tightest = 0;
-    if (idle > 0) tightest = idle;
-    if (stall > 0 && (tightest == 0 || stall < tightest)) tightest = stall;
-    if (tightest == 0) return 0;
-    return std::max<int64_t>(tightest / 2, 100);
-  }
-
-  // One pass of the per-connection deadline police: the write-stall
-  // deadline (peer stopped draining acks past the high-watermark) and the
-  // idle timeout (peer stopped talking). A stalled connection is also
-  // idle by definition (paused reads see no activity), so the stall check
-  // runs first and claims the drop.
-  void SweepTimeouts() REQUIRES(role_) {
-    const int64_t idle_timeout = server_->options().idle_timeout_ms;
-    const int64_t stall_timeout = server_->options().write_stall_ms;
-    const int64_t now = EventLoop::NowMs();
-    std::vector<std::pair<uint64_t, bool>> victims;  // (id, stalled)
-    for (const auto& [id, conn] : connections_) {
-      ScopedThreadRole io_owner(conn->io->role());
-      const int64_t stalled_since = conn->io->stalled_since_ms();
-      if (stall_timeout > 0 && stalled_since > 0 &&
-          now - stalled_since > stall_timeout) {
-        victims.emplace_back(id, true);
-      } else if (idle_timeout > 0 &&
-                 now - conn->last_active_ms > idle_timeout) {
-        victims.emplace_back(id, false);
-      }
-    }
-    for (const auto& [id, stalled] : victims) {
-      auto it = connections_.find(id);
-      if (it == connections_.end()) continue;
-      if (stalled) {
-        ++counters_.write_stall_drops;
-      } else {
-        ++counters_.idle_drops;
-      }
-      ScopedThreadRole io_owner(it->second->io->role());
-      it->second->io->Close(InternalError(
-          stalled ? "write-stall deadline"
-                  : "idle timeout"));  // fires OnConnectionClosed
-    }
-    // Rate buckets that have refilled to burst hold no information;
-    // prune them so the map only tracks meters currently being limited.
-    const double rate = server_->options().rate_limit;
-    if (rate > 0 && !buckets_.empty()) {
-      const double burst = std::max(1.0, rate);
-      for (auto it = buckets_.begin(); it != buckets_.end();) {
-        const double refill =
-            static_cast<double>(now - it->second.last_ms) * rate / 1000.0;
-        if (it->second.tokens + refill >= burst) {
-          it = buckets_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (!draining_) {
-      const int64_t sweep = SweepPeriodMs();
-      if (sweep > 0) {
-        ScopedThreadRole loop_owner(loop_->role());
-        loop_->RunAfter(sweep, [this] {
-          ScopedThreadRole owner(role_);
-          SweepTimeouts();
-        });
-      }
-    }
-  }
-
-  void OnWakeup() REQUIRES(role_) {
-    AdoptHandoffs();
-    if (stats_requested_.exchange(false)) {
-      server_->PublishStats(index_, LiveSnapshot());
-    }
-    if (drain_requested_.exchange(false)) BeginDrain();
-  }
-
-  void BeginDrain() REQUIRES(role_) {
-    if (draining_) return;
-    draining_ = true;
-    if (listen_fd_ >= 0) {
-      ScopedThreadRole loop_owner(loop_->role());
-      // Stop accepting: new meters get connection-refused and retry
-      // elsewhere or later.
-      (void)loop_->Remove(listen_fd_);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    // Mailbox stragglers become connections now so their HELLOs are
-    // refused with kDraining instead of stranding open fds.
-    AdoptHandoffs();
-    // Sessions that have not said HELLO yet are refused with kDraining;
-    // in-flight uploads get drain_grace_ms to finish.
-    for (const auto& [id, conn] : connections_) {
-      ScopedThreadRole writer(conn->session.writer_role());
-      conn->session.SetDraining();
-    }
-    {
-      ScopedThreadRole loop_owner(loop_->role());
-      loop_->RunAfter(server_->options().drain_grace_ms, [this] {
-        ScopedThreadRole owner(role_);
-        std::vector<uint64_t> remaining;
-        for (const auto& [id, conn] : connections_) remaining.push_back(id);
-        for (uint64_t id : remaining) {
-          auto it = connections_.find(id);
-          if (it == connections_.end()) continue;
-          ScopedThreadRole io_owner(it->second->io->role());
-          it->second->io->Close(InternalError("drain deadline"));
-        }
-        FinishDrainIfIdle();
-      });
-    }
-    FinishDrainIfIdle();
-  }
-
-  void FinishDrainIfIdle() REQUIRES(role_) {
-    if (!draining_ || stopped_ || !connections_.empty()) return;
-    stopped_ = true;
-    ScopedThreadRole loop_owner(loop_->role());
-    loop_->Stop();
-  }
-
   IngestCounters LiveSnapshot() REQUIRES(role_) {
     IngestCounters snapshot = counters_;
+    CoreCounters core;
+    {
+      ScopedThreadRole core_owner(core_.role());
+      core = core_.Snapshot();
+    }
+    snapshot.sessions_active = core.connections_active;
+    snapshot.sessions_dropped += core.accept_faults;
+    snapshot.connections_shed = core.connections_shed;
+    snapshot.accepts_emfile = core.accepts_emfile;
+    snapshot.throttles_sent += core.shed_throttles;
+    snapshot.idle_drops = core.idle_drops;
+    snapshot.write_stall_drops = core.write_stall_drops;
+    snapshot.bytes_in = core.bytes_in;
+    snapshot.bytes_out = core.bytes_out;
+    snapshot.backpressure_stalls = core.backpressure_stalls;
+    snapshot.writev_calls = core.writev_calls;
+    snapshot.writev_segments = core.writev_segments;
     snapshot.ingest_memory_bytes =
         static_cast<uint64_t>(std::max<int64_t>(tracked_memory_, 0));
-    for (const auto& [id, conn] : connections_) {
-      ScopedThreadRole io_owner(conn->io->role());
-      snapshot.bytes_in += conn->io->bytes_in();
-      snapshot.bytes_out += conn->io->bytes_out();
-      snapshot.backpressure_stalls += conn->io->stalls();
-      snapshot.writev_calls += conn->io->writev_calls();
-      snapshot.writev_segments += conn->io->writev_segments();
-    }
     return snapshot;
   }
 
   IngestServer* const server_;
   const int index_;
   const bool deal_round_robin_;
-  int listen_fd_ GUARDED_BY(role_);
-  std::unique_ptr<EventLoop> loop_;
   ThreadRole role_;
+  ServerCore core_;
 
-  uint64_t next_conn_id_ GUARDED_BY(role_) = 1;
   uint64_t next_deal_ GUARDED_BY(role_) = 0;
-  // EMFILE escape hatch: a slot held open so ShedBacklogViaReserve always
-  // has one fd to accept-and-refuse with. -1 when even /dev/null was
-  // unopenable (retried on the next EMFILE).
-  int reserve_fd_ GUARDED_BY(role_) = -1;
   // Per-meter session-rate buckets (options.rate_limit); pruned when full.
   struct TokenBucket {
     double tokens = 0;
@@ -1063,23 +716,12 @@ class IngestShard {
   // This shard's share of the global ingest-memory gauge.
   int64_t tracked_memory_ GUARDED_BY(role_) = 0;
   bool probe_scheduled_ GUARDED_BY(role_) = false;
-  // Pre-encoded per-scope THROTTLE frames for the accept-time shed path.
-  std::array<std::string, 4> throttle_frames_ GUARDED_BY(role_);
-  std::map<uint64_t, std::unique_ptr<Connection>> connections_
-      GUARDED_BY(role_);
-  // Connections whose on_close fired mid-callback; freed next loop pass.
-  std::vector<std::unique_ptr<Connection>> graveyard_ GUARDED_BY(role_);
-  bool reap_scheduled_ GUARDED_BY(role_) = false;
-  bool draining_ GUARDED_BY(role_) = false;
-  bool stopped_ GUARDED_BY(role_) = false;
   IngestCounters counters_ GUARDED_BY(role_);
   // Per-event reply batch scratch (strings own the encoded frames until
   // the writev; views are rebuilt per flush).
   std::vector<std::string> reply_bytes_ GUARDED_BY(role_);
   std::vector<std::string_view> reply_views_ GUARDED_BY(role_);
 
-  std::atomic<bool> drain_requested_{false};
-  std::atomic<bool> stats_requested_{false};
   Mutex handoff_mutex_;
   std::vector<Handoff> handoff_queue_ GUARDED_BY(handoff_mutex_);
 };

@@ -4,7 +4,8 @@
 //
 // Architecture (one connection, left to right):
 //
-//   accept (per-shard SO_REUSEPORT listener)
+//   ServerCore (server_core.h: per-shard SO_REUSEPORT listener, accept,
+//               connection table, sweeps, drain — shared with queryd)
 //          -> HELLO peek: hash(meter id) pins the connection to its home
 //             shard; a connection accepted elsewhere is handed off fd +
 //             buffered bytes through the target shard's mailbox (eventfd
@@ -18,7 +19,7 @@
 //          -> ArchiveSink (atomic table/symbols files + per-shard manifest
 //             append log, unioned at Finalize/resume/fsck)
 //
-// Sharding model: `threads` shards, each one EventLoop on its own thread
+// Sharding model: `threads` shards, each one ServerCore on its own thread
 // with its own listener (SO_REUSEPORT spreads accepts), connection table,
 // and counters. A meter's HELLO hash-pins its connection to shard
 // ShardForMeter(meter, threads), so a Session has exactly one writer
@@ -65,7 +66,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "net/archive_sink.h"
-#include "net/event_loop.h"
+#include "net/server_core.h"
 #include "net/session.h"
 #include "net/wire.h"
 
@@ -287,10 +288,6 @@ class IngestServer {
   std::atomic<int64_t> admitted_{0};
   std::atomic<int64_t> memory_usage_{0};
 };
-
-// Parses "host:port" (or ":port" / "port") into options fields.
-Status ParseListenAddress(const std::string& address, std::string* host,
-                          uint16_t* port);
 
 }  // namespace smeter::net
 

@@ -1,15 +1,7 @@
 #include "net/loadgen.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -19,6 +11,7 @@
 #include "core/encoder.h"
 #include "core/lookup_table.h"
 #include "data/cer.h"
+#include "net/framed_client.h"
 #include "net/wire.h"
 
 namespace smeter::net {
@@ -57,14 +50,6 @@ int64_t FullJitterBackoffMs(int attempt, const BackoffPolicy& policy,
                               (static_cast<uint64_t>(ceiling) + 1));
 }
 
-namespace {
-
-Status Errno(const std::string& what) {
-  return InternalError(what + ": " + std::strerror(errno));
-}
-
-// Per-meter deterministic jitter seed (FNV-1a of the name): distinct
-// meters draw distinct backoff schedules without sharing rng state.
 uint64_t JitterSeed(const std::string& name) {
   uint64_t seed = 0xcbf29ce484222325ull;
   for (char ch : name) {
@@ -72,6 +57,8 @@ uint64_t JitterSeed(const std::string& name) {
   }
   return seed == 0 ? 0x9e3779b97f4a7c15ull : seed;
 }
+
+namespace {
 
 // The sensor-side pipeline, step for step what encode-fleet runs per
 // household — shared inputs therefore yield bit-identical tables and
@@ -116,114 +103,6 @@ Result<PreparedUpload> PrepareMeter(const std::string& name,
   return prepared;
 }
 
-// Blocking framed-protocol client over one TCP connection.
-class MeterClient {
- public:
-  ~MeterClient() { CloseFd(); }
-
-  Status Connect(const std::string& host, uint16_t port,
-                 int64_t timeout_ms) {
-    // Reconnecting a used client: drop the old fd and any half-decoded
-    // input from the previous conversation.
-    CloseFd();
-    in_.clear();
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return Errno("socket");
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    const int enable = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      return InvalidArgumentError("bad host '" + host + "'");
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return Errno("connect " + host + ":" + std::to_string(port));
-    }
-    return Status::Ok();
-  }
-
-  Status SendFrame(const Frame& frame) {
-    const std::string bytes = EncodeFrame(frame);
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      ssize_t n = ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-      if (n > 0) {
-        sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      return Errno("write");
-    }
-    return Status::Ok();
-  }
-
-  Result<Frame> RecvFrame() {
-    for (;;) {
-      DecodeResult decoded = DecodeFrame(in_);
-      if (decoded.outcome == DecodeResult::Outcome::kFrame) {
-        in_.erase(0, decoded.consumed);
-        return std::move(decoded.frame);
-      }
-      if (decoded.outcome == DecodeResult::Outcome::kError) {
-        return decoded.error;
-      }
-      char chunk[16 * 1024];
-      ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n > 0) {
-        in_.append(chunk, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        return InternalError("server closed the connection");
-      }
-      if (errno == EINTR) continue;
-      return Errno("read");
-    }
-  }
-
-  // Abrupt teardown, mid-frame if need be — the dying-meter simulation.
-  void Abort() {
-    if (fd_ >= 0) {
-      ::shutdown(fd_, SHUT_RDWR);
-      CloseFd();
-    }
-  }
-
- private:
-  void CloseFd() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  int fd_ = -1;
-  std::string in_;
-};
-
-// Expects `frame` to be `type` carrying an OK ack.
-Status ExpectOkAck(const Frame& frame, FrameType type) {
-  if (frame.type != type) {
-    return InternalError("expected ack type " +
-                         std::to_string(static_cast<int>(type)) + ", got " +
-                         std::to_string(static_cast<int>(frame.type)));
-  }
-  Result<AckPayload> ack = ParseAck(frame);
-  if (!ack.ok()) return ack.status();
-  if (ack->status != WireStatus::kOk) {
-    return InternalError(std::string("server refused: [") +
-                         WireStatusName(ack->status) + "] " + ack->message);
-  }
-  return Status::Ok();
-}
-
 struct SharedStats {
   std::atomic<uint64_t> frames_sent{0};
   std::atomic<uint64_t> symbols_sent{0};
@@ -261,9 +140,9 @@ Status CheckThrottle(const Frame& frame, const std::string& meter_name,
 // connection is left open after the GOODBYE_ACK, ready for the next
 // meter's HELLO (the server resets the session to ExpectHello).
 Status UploadConversation(const LoadgenOptions& options,
-                          const PreparedUpload& meter, MeterClient* client_ptr,
+                          const PreparedUpload& meter, FramedClient* client_ptr,
                           SharedStats* stats, uint32_t* retry_hint_ms) {
-  MeterClient& client = *client_ptr;
+  FramedClient& client = *client_ptr;
   HelloPayload hello;
   hello.protocol_version = kProtocolVersion;
   hello.meter_id = meter.name;
@@ -352,7 +231,7 @@ Status UploadConversation(const LoadgenOptions& options,
 // Classic mode: one fresh connection per attempt.
 Status UploadOnce(const LoadgenOptions& options, const PreparedUpload& meter,
                   SharedStats* stats, uint32_t* retry_hint_ms) {
-  MeterClient client;
+  FramedClient client;
   SMETER_RETURN_IF_ERROR(
       client.Connect(options.host, options.port, options.io_timeout_ms));
   stats->connections_opened.fetch_add(1, std::memory_order_relaxed);
@@ -387,8 +266,8 @@ void RunMeter(const LoadgenOptions& options, const PreparedUpload& meter,
 // cannot resynchronize a connection whose conversation died mid-frame, so
 // any error tears the socket down before retrying.
 void RunMeterMultiplexed(const LoadgenOptions& options,
-                         const PreparedUpload& meter, MeterClient* client,
-                         bool* connected, SharedStats* stats) {
+                         const PreparedUpload& meter, FramedClient* client,
+                         SharedStats* stats) {
   const int attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
   uint64_t rng = JitterSeed(meter.name);
   uint32_t retry_hint_ms = 0;
@@ -400,13 +279,12 @@ void RunMeterMultiplexed(const LoadgenOptions& options,
           FullJitterBackoffMs(attempt, options.backoff, &rng)));
     }
     retry_hint_ms = 0;
-    if (!*connected) {
+    if (!client->connected()) {
       if (!client->Connect(options.host, options.port, options.io_timeout_ms)
                .ok()) {
         continue;
       }
       stats->connections_opened.fetch_add(1, std::memory_order_relaxed);
-      *connected = true;
     }
     if (UploadConversation(options, meter, client, stats, &retry_hint_ms)
             .ok()) {
@@ -414,7 +292,6 @@ void RunMeterMultiplexed(const LoadgenOptions& options,
       return;  // connection stays open for the next meter
     }
     client->Abort();
-    *connected = false;
   }
   stats->meters_failed.fetch_add(1, std::memory_order_relaxed);
 }
@@ -498,12 +375,11 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
     const size_t conns = std::min(options.connections, prepared.size());
     threads.reserve(conns);
     for (size_t c = 0; c < conns; ++c) {
-      threads.emplace_back([&, c] {
-        MeterClient client;
-        bool connected = false;
+      // `conns` by value: this block ends before the threads are joined.
+      threads.emplace_back([&, c, conns] {
+        FramedClient client;
         for (size_t index = c; index < prepared.size(); index += conns) {
-          RunMeterMultiplexed(options, prepared[index], &client, &connected,
-                              &stats);
+          RunMeterMultiplexed(options, prepared[index], &client, &stats);
         }
       });
     }

@@ -53,6 +53,11 @@ uint64_t XorShift64(uint64_t* state);
 int64_t FullJitterBackoffMs(int attempt, const BackoffPolicy& policy,
                             uint64_t* rng_state);
 
+// Per-meter deterministic jitter seed (FNV-1a of the meter name, never
+// zero): distinct meters draw distinct backoff schedules without sharing
+// rng state. The load generator and the spool uploader both seed from it.
+uint64_t JitterSeed(const std::string& name);
+
 struct LoadgenOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;

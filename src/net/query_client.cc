@@ -1,103 +1,13 @@
 #include "net/query_client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "net/wire.h"
 
 namespace smeter::net {
-namespace {
-
-Status Errno(const std::string& what) {
-  return InternalError(what + ": " + std::strerror(errno));
-}
-
-}  // namespace
-
-// Blocking framed transport; same shape as the SDK uploader's, without the
-// edge-device fault seams (queryd soak kills the server, not the client).
-class QueryClient::Transport {
- public:
-  ~Transport() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  Status Connect(const std::string& host, uint16_t port,
-                 int64_t timeout_ms) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return Errno("socket");
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    const int enable = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      return InvalidArgumentError("bad host '" + host + "'");
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return Errno("connect " + host + ":" + std::to_string(port));
-    }
-    return Status::Ok();
-  }
-
-  Status SendFrame(const Frame& frame) {
-    const std::string bytes = EncodeFrame(frame);
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      ssize_t n = ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-      if (n > 0) {
-        sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      return Errno("write");
-    }
-    return Status::Ok();
-  }
-
-  Result<Frame> RecvFrame() {
-    for (;;) {
-      DecodeResult decoded = DecodeFrame(in_);
-      if (decoded.outcome == DecodeResult::Outcome::kFrame) {
-        in_.erase(0, decoded.consumed);
-        return std::move(decoded.frame);
-      }
-      if (decoded.outcome == DecodeResult::Outcome::kError) {
-        return decoded.error;
-      }
-      char chunk[16 * 1024];
-      ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n > 0) {
-        in_.append(chunk, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) return InternalError("server closed the connection");
-      if (errno == EINTR) continue;
-      return Errno("read");
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string in_;
-};
 
 QueryClient::QueryClient(QueryClientOptions options)
-    : options_(std::move(options)),
-      transport_(std::make_unique<Transport>()) {}
+    : options_(std::move(options)) {}
 
 QueryClient::~QueryClient() = default;
 
@@ -105,7 +15,7 @@ Result<std::unique_ptr<QueryClient>> QueryClient::Connect(
     QueryClientOptions options) {
   auto client =
       std::unique_ptr<QueryClient>(new QueryClient(std::move(options)));
-  SMETER_RETURN_IF_ERROR(client->transport_->Connect(
+  SMETER_RETURN_IF_ERROR(client->transport_.Connect(
       client->options_.host, client->options_.port,
       client->options_.timeout_ms));
   QueryHelloPayload hello;
@@ -127,8 +37,8 @@ Result<std::unique_ptr<QueryClient>> QueryClient::Connect(
 
 Result<Frame> QueryClient::RoundTrip(const Frame& request,
                                      uint8_t expect_type) {
-  SMETER_RETURN_IF_ERROR(transport_->SendFrame(request));
-  Result<Frame> response = transport_->RecvFrame();
+  SMETER_RETURN_IF_ERROR(transport_.SendFrame(request));
+  Result<Frame> response = transport_.RecvFrame();
   if (!response.ok()) return response.status();
   const uint8_t type = static_cast<uint8_t>(response->type);
   if (type == expect_type) return response;

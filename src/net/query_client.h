@@ -22,6 +22,7 @@
 
 #include "common/status.h"
 #include "core/time_series.h"
+#include "net/framed_client.h"
 #include "net/query_wire.h"
 
 namespace smeter::net {
@@ -61,8 +62,6 @@ class QueryClient {
   uint64_t requests_sent() const { return next_request_id_ - 1; }
 
  private:
-  class Transport;
-
   explicit QueryClient(QueryClientOptions options);
 
   // Sends `request` and returns the response frame, surfacing THROTTLE
@@ -70,7 +69,7 @@ class QueryClient {
   Result<Frame> RoundTrip(const Frame& request, uint8_t expect_type);
 
   QueryClientOptions options_;
-  std::unique_ptr<Transport> transport_;
+  FramedClient transport_;
   uint64_t next_request_id_ = 1;
 };
 

@@ -1,65 +1,14 @@
 #include "net/query_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <utility>
 
-#include "common/fault_injection.h"
 #include "net/wire.h"
 
 namespace smeter::net {
-namespace {
-
-Status Errno(const std::string& what) {
-  return InternalError(what + ": " + std::strerror(errno));
-}
-
-Result<int> BindQueryListener(const std::string& host, uint16_t port,
-                              uint16_t* bound_port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Errno("socket");
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return InvalidArgumentError("bad listen host '" + host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status status = Errno("bind " + host + ":" + std::to_string(port));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, SOMAXCONN) != 0) {
-    Status status = Errno("listen");
-    ::close(fd);
-    return status;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    Status status = Errno("getsockname");
-    ::close(fd);
-    return status;
-  }
-  *bound_port = ntohs(bound.sin_port);
-  return fd;
-}
-
-}  // namespace
 
 std::string QueryCounters::ToJson() const {
   std::ostringstream out;
@@ -85,26 +34,17 @@ std::string QueryCounters::ToJson() const {
   return out.str();
 }
 
-struct QueryServer::Connection {
-  uint64_t id = 0;
-  std::unique_ptr<BufferedFd> io;
+struct QueryServer::Connection : ServerConnection {
   QuerySession session;
-  int64_t last_active_ms = 0;
-  // Set before a server-initiated close (drain grace, idle sweep, memory
-  // throttle) so OnConnectionClosed does not also count it as dropped —
-  // those closes have their own counters.
-  bool administrative_close = false;
 
-  Connection(uint64_t id, ArchiveStore* store, QuerySessionOptions options)
-      : id(id), session(store, std::move(options)) {}
+  Connection(ArchiveStore* store, QuerySessionOptions options)
+      : session(store, std::move(options)) {}
 };
 
 QueryServer::QueryServer(QueryServerOptions options)
     : options_(std::move(options)), stats_out_(&std::cerr) {}
 
-QueryServer::~QueryServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
+QueryServer::~QueryServer() = default;
 
 Result<std::unique_ptr<QueryServer>> QueryServer::Create(
     QueryServerOptions options) {
@@ -113,161 +53,96 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Create(
   }
   auto server = std::unique_ptr<QueryServer>(
       new QueryServer(std::move(options)));
+  const QueryServerOptions& opts = server->options_;
   ArchiveStoreOptions store_options;
-  store_options.current_dir = server->options_.current_dir;
+  store_options.current_dir = opts.current_dir;
   Result<std::unique_ptr<ArchiveStore>> store =
-      ArchiveStore::Open(server->options_.store_dir, store_options);
+      ArchiveStore::Open(opts.store_dir, store_options);
   if (!store.ok()) return store.status();
   server->store_ = std::move(*store);
-  Result<int> fd = BindQueryListener(server->options_.host,
-                                     server->options_.port, &server->port_);
+  Result<int> fd = BindListener(opts.host, opts.port, /*reuseport=*/false,
+                                &server->port_);
   if (!fd.ok()) return fd.status();
-  server->listen_fd_ = *fd;
   Result<std::unique_ptr<EventLoop>> loop = EventLoop::Create();
-  if (!loop.ok()) return loop.status();
-  server->loop_ = std::move(*loop);
+  if (!loop.ok()) {
+    ::close(*fd);
+    return loop.status();
+  }
+  ServerCoreOptions core;
+  core.accept_seam = "query.accept";
+  core.idle_timeout_ms = opts.idle_timeout_ms;
+  core.drain_grace_ms = opts.drain_grace_ms;
+  core.high_watermark = opts.high_watermark;
+  core.throttle_retry_ms = opts.throttle_retry_ms;
+  ServerHandler* handler = server.get();
+  server->core_ = std::make_unique<ServerCore>(std::move(core), *fd,
+                                               std::move(*loop), handler);
+  ScopedThreadRole core_owner(server->core_->role());
+  SMETER_RETURN_IF_ERROR(server->core_->Setup());
   return server;
 }
 
-Status QueryServer::Run() {
-  ScopedThreadRole owner(role_);
-  {
-    ThrottlePayload shed;
-    shed.retry_after_ms = options_.throttle_retry_ms;
-    shed.scope = ThrottleScope::kAdmission;
-    shed.message = "query connection budget exceeded";
-    shed_frame_ = EncodeFrame(MakeThrottle(shed));
-  }
-  {
-    // Setup-time claim of the loop role, released before loop_->Run()
-    // claims it for the loop's lifetime (the IngestShard pattern).
-    ScopedThreadRole loop_owner(loop_->role());
-    SMETER_RETURN_IF_ERROR(
-        loop_->Add(listen_fd_, EPOLLIN | EPOLLET, [this](uint32_t) {
-          ScopedThreadRole self(role_);
-          OnAcceptable();
-        }));
-    accepting_ = true;
-    loop_->SetWakeupHandler([this] {
-      ScopedThreadRole self(role_);
-      graveyard_.clear();
-      if (stats_requested_.exchange(false)) DumpStats();
-      if (drain_requested_.exchange(false)) BeginDrain();
-    });
-  }
-  ScheduleIdleSweep();
-  Status run = loop_->Run();
-  // Snapshot the store gauges before connections die with the loop.
-  counters_.segments_read = store_->segments_read();
-  counters_.current_refreshes = store_->current_refreshes();
-  connections_.clear();
-  graveyard_.clear();
-  return run;
-}
+Status QueryServer::Run() { return core_->Run(); }
 
-void QueryServer::RequestDrain() {
-  drain_requested_.store(true);
-  loop_->Wakeup();
-}
+void QueryServer::RequestDrain() { core_->RequestDrain(); }
 
-void QueryServer::RequestStatsDump() {
-  stats_requested_.store(true);
-  loop_->Wakeup();
-}
+void QueryServer::RequestStatsDump() { core_->RequestStats(); }
 
 QueryCounters QueryServer::counters() const { return LiveSnapshot(); }
 
 QueryCounters QueryServer::LiveSnapshot() const {
   QueryCounters snapshot = counters_;
-  snapshot.connections_active = connections_.size();
-  if (store_ != nullptr) {
-    snapshot.segments_read = store_->segments_read();
-    snapshot.current_refreshes = store_->current_refreshes();
+  CoreCounters core;
+  {
+    ScopedThreadRole core_owner(core_->role());
+    core = core_->Snapshot();
   }
+  snapshot.connections_active = core.connections_active;
+  snapshot.connections_dropped += core.accept_faults;
+  snapshot.connections_shed = core.connections_shed;
+  snapshot.throttles_sent += core.shed_throttles;
+  snapshot.idle_drops = core.idle_drops;
+  snapshot.bytes_in = core.bytes_in;
+  snapshot.bytes_out = core.bytes_out;
+  snapshot.segments_read = store_->segments_read();
+  snapshot.current_refreshes = store_->current_refreshes();
   return snapshot;
 }
 
-void QueryServer::DumpStats() {
+void QueryServer::OnStats() {
+  ScopedThreadRole self(role_);
   (*stats_out_) << LiveSnapshot().ToJson() << "\n" << std::flush;
   stats_dumps_.fetch_add(1);
 }
 
-void QueryServer::OnAcceptable() {
-  for (;;) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // EAGAIN ends the edge; any other transient accept failure must
-      // never kill the daemon — the reader retries.
-      return;
-    }
-    if (!accepting_) {
-      ::close(fd);
-      continue;
-    }
-    // Fault seam: a dropped accept costs one connection, not the server.
-    if (Status fault = fault::Check("query.accept"); !fault.ok()) {
-      ::close(fd);
-      ++counters_.connections_dropped;
-      continue;
-    }
-    if (options_.max_connections > 0 &&
-        connections_.size() >=
-            static_cast<size_t>(options_.max_connections)) {
-      ShedConnection(fd);
-      continue;
-    }
-    ++counters_.connections_accepted;
-    AdoptConnection(fd);
+void QueryServer::OnAccept(int fd) {
+  ScopedThreadRole self(role_);
+  ScopedThreadRole core_owner(core_->role());
+  if (options_.max_connections > 0 &&
+      core_->connection_count() >=
+          static_cast<size_t>(options_.max_connections)) {
+    core_->Shed(fd);
+    return;
   }
-}
-
-void QueryServer::ShedConnection(int fd) {
-  // Best-effort: one pre-encoded THROTTLE, then close. A blocked send just
-  // drops the hint; the refusal is the close itself.
-  (void)::send(fd, shed_frame_.data(), shed_frame_.size(), MSG_DONTWAIT);
-  ::close(fd);
-  ++counters_.connections_shed;
-  ++counters_.throttles_sent;
-}
-
-void QueryServer::AdoptConnection(int fd) {
-  const int enable = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
+  ++counters_.connections_accepted;
   QuerySessionOptions session_options;
   session_options.auth_token = options_.auth_token;
   session_options.max_scan_symbols = options_.max_scan_symbols;
-  session_options.draining = draining_;
-  auto conn = std::make_unique<Connection>(next_conn_id_++, store_.get(),
-                                           std::move(session_options));
-  Connection* raw = conn.get();
-  raw->last_active_ms = EventLoop::NowMs();
-  raw->io = std::make_unique<BufferedFd>(
-      loop_.get(), fd,
-      BufferedFd::Callbacks{
-          [this, raw](std::string_view data) {
-            ScopedThreadRole self(role_);
-            return OnData(raw, data);
-          },
-          [this, raw](const Status& reason) {
-            ScopedThreadRole self(role_);
-            OnConnectionClosed(raw, reason);
-          }},
-      options_.high_watermark);
-  ScopedThreadRole io_owner(raw->io->role());
-  if (Status status = raw->io->Register(); !status.ok()) {
-    return;  // the BufferedFd destructor closes the fd
-  }
-  connections_.emplace(raw->id, std::move(conn));
+  session_options.draining = core_->draining();
+  (void)core_->Adopt(fd,
+                     std::make_unique<Connection>(store_.get(),
+                                                  std::move(session_options)),
+                     {});
 }
 
-size_t QueryServer::OnData(Connection* conn, std::string_view data) {
+size_t QueryServer::OnData(ServerConnection* conn, std::string_view data) {
+  ScopedThreadRole self(role_);
+  return HandleData(static_cast<Connection*>(conn), data);
+}
+
+size_t QueryServer::HandleData(Connection* conn, std::string_view data) {
   ScopedThreadRole writer(conn->session.writer_role());
   ScopedThreadRole io_owner(conn->io->role());
-  conn->last_active_ms = EventLoop::NowMs();
-  counters_.bytes_in += data.size();
-
   size_t consumed = 0;
   std::vector<Frame> replies;
   while (consumed < data.size()) {
@@ -304,11 +179,13 @@ size_t QueryServer::OnData(Connection* conn, std::string_view data) {
       return data.size();
     }
     if (conn->io->closed()) return data.size();
-    if (options_.exit_after_queries > 0) {
-      queries_total_ = counters_.queries_point + counters_.queries_range +
-                       counters_.queries_aggregate;
-      if (queries_total_ >= options_.exit_after_queries && !draining_) {
-        BeginDrain();
+    if (options_.exit_after_queries > 0 &&
+        counters_.queries_point + counters_.queries_range +
+                counters_.queries_aggregate >=
+            options_.exit_after_queries) {
+      ScopedThreadRole core_owner(core_->role());
+      if (!core_->draining()) {
+        core_->BeginDrain();
         return data.size();
       }
     }
@@ -319,6 +196,7 @@ size_t QueryServer::OnData(Connection* conn, std::string_view data) {
 
 void QueryServer::SendReplies(Connection* conn,
                               const std::vector<Frame>& replies) {
+  ScopedThreadRole io_owner(conn->io->role());
   if (replies.empty() || conn->io->closed()) return;
   std::string batch;
   for (const Frame& reply : replies) {
@@ -336,105 +214,36 @@ void QueryServer::SendReplies(Connection* conn,
     throttle.retry_after_ms = options_.throttle_retry_ms;
     throttle.scope = ThrottleScope::kMemory;
     throttle.message = "reply exceeds the query memory budget";
-    const std::string frame = EncodeFrame(MakeThrottle(throttle));
-    counters_.bytes_out += frame.size();
-    (void)conn->io->Send(frame);
+    (void)conn->io->Send(EncodeFrame(MakeThrottle(throttle)));
     conn->administrative_close = true;
     CloseConnection(
         conn, FailedPreconditionError("query memory budget exceeded"));
     return;
   }
-  counters_.bytes_out += batch.size();
   if (Status status = conn->io->Send(batch); !status.ok()) {
     CloseConnection(conn, status);
   }
 }
 
 void QueryServer::CloseConnection(Connection* conn, Status reason) {
+  ScopedThreadRole io_owner(conn->io->role());
   if (conn->io->closed()) return;
   conn->io->CloseAfterFlush(std::move(reason));
 }
 
-void QueryServer::OnConnectionClosed(Connection* conn,
-                                     const Status& reason) {
+void QueryServer::OnClosed(ServerConnection* conn, const Status& reason) {
+  ScopedThreadRole self(role_);
+  // Idle sweeps, drain deadlines and memory throttles are the server's own
+  // closes and have their own counters.
   if (!reason.ok() && !conn->administrative_close) {
     ++counters_.connections_dropped;
   }
-  auto it = connections_.find(conn->id);
-  if (it == connections_.end()) return;
-  // on_close can fire inside this connection's own BufferedFd callbacks;
-  // destroying it here would free the object under its own feet. Park it
-  // and let the wakeup handler sweep.
-  graveyard_.push_back(std::move(it->second));
-  connections_.erase(it);
-  loop_->Wakeup();
-  MaybeFinish();
 }
 
-void QueryServer::BeginDrain() {
-  if (draining_) return;
-  draining_ = true;
-  accepting_ = false;
-  {
-    ScopedThreadRole loop_owner(loop_->role());
-    (void)loop_->Remove(listen_fd_);
-  }
-  for (auto& [id, conn] : connections_) {
-    ScopedThreadRole writer(conn->session.writer_role());
-    conn->session.SetDraining();
-  }
-  if (connections_.empty()) {
-    MaybeFinish();
-    return;
-  }
-  ScopedThreadRole loop_owner(loop_->role());
-  loop_->RunAfter(options_.drain_grace_ms, [this] {
-    ScopedThreadRole self(role_);
-    std::vector<Connection*> open;
-    open.reserve(connections_.size());
-    for (auto& [id, conn] : connections_) open.push_back(conn.get());
-    for (Connection* conn : open) {
-      conn->administrative_close = true;
-      ScopedThreadRole io_owner(conn->io->role());
-      conn->io->Close(FailedPreconditionError("drain grace expired"));
-    }
-    MaybeFinish();
-  });
-}
-
-void QueryServer::MaybeFinish() {
-  if (!draining_ || !connections_.empty()) return;
-  ScopedThreadRole loop_owner(loop_->role());
-  loop_->RunAfter(0, [this] { loop_->Stop(); });
-}
-
-void QueryServer::ScheduleIdleSweep() {
-  if (options_.idle_timeout_ms <= 0 || idle_sweep_scheduled_) return;
-  idle_sweep_scheduled_ = true;
-  ScopedThreadRole loop_owner(loop_->role());
-  loop_->RunAfter(std::max<int64_t>(options_.idle_timeout_ms / 4, 1),
-                  [this] {
-                    ScopedThreadRole self(role_);
-                    idle_sweep_scheduled_ = false;
-                    SweepIdle();
-                    ScheduleIdleSweep();
-                  });
-}
-
-void QueryServer::SweepIdle() {
-  const int64_t now = EventLoop::NowMs();
-  std::vector<Connection*> idle;
-  for (auto& [id, conn] : connections_) {
-    if (now - conn->last_active_ms >= options_.idle_timeout_ms) {
-      idle.push_back(conn.get());
-    }
-  }
-  for (Connection* conn : idle) {
-    ++counters_.idle_drops;
-    conn->administrative_close = true;
-    ScopedThreadRole io_owner(conn->io->role());
-    conn->io->Close(FailedPreconditionError("idle timeout"));
-  }
+void QueryServer::OnDraining(ServerConnection* conn) {
+  Connection* query = static_cast<Connection*>(conn);
+  ScopedThreadRole writer(query->session.writer_role());
+  query->session.SetDraining();
 }
 
 }  // namespace smeter::net

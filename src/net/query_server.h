@@ -3,8 +3,8 @@
 //
 // Architecture (one connection, left to right):
 //
-//   accept (single listener)
-//          -> BufferedFd (edge-triggered buffers, backpressure)
+//   ServerCore (server_core.h: listener, accept, connection table,
+//               idle sweep, drain — the skeleton ingestd's shards share)
 //          -> DecodeFrameView (same CRC32C framing as ingest)
 //          -> QuerySession (pure protocol state machine)
 //          -> ArchiveStore (partition segments, rollup tables, hot
@@ -12,12 +12,14 @@
 //
 // One loop thread is deliberate: the read path is dominated by file reads
 // the page cache absorbs, and rollup-served aggregates touch one small
-// file per partition. Sharding the query loop the way PR 8 sharded ingest
-// is future work the single-writer capability model already permits.
+// file per partition. Sharding the query loop the way ingest is sharded
+// is future work the shared core and the single-writer capability model
+// already permit.
 //
 // Overload protection reuses the ingest THROTTLE vocabulary:
-//   * admission: over `max_connections`, a new connection gets one
-//     pre-encoded THROTTLE(scope=admission) and an immediate close.
+//   * admission: over `max_connections` (or out of fds), a new connection
+//     gets one pre-encoded THROTTLE(scope=admission) and an immediate
+//     close.
 //   * memory: a reply that would push a connection's buffered bytes over
 //     `memory_budget` is replaced by THROTTLE(scope=memory) and the
 //     connection is closed after flush — a slow reader cannot make the
@@ -27,15 +29,16 @@
 // Drain (SIGTERM) and stats (SIGUSR1) mirror IngestServer: RequestDrain()
 // and RequestStatsDump() are thread- and async-signal-safe; drain stops
 // accepting, lets in-flight queries finish for `drain_grace_ms`, then
-// force-closes. `exit_after_queries` drains automatically after N queries
-// so tests and soak jobs run the real daemon to a deterministic end.
+// force-closes (closes the server makes itself never count as
+// connections_dropped). `exit_after_queries` drains automatically after
+// N queries so tests and soak jobs run the real daemon to a deterministic
+// end.
 
 #ifndef SMETER_NET_QUERY_SERVER_H_
 #define SMETER_NET_QUERY_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -44,9 +47,9 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "core/archive_store.h"
-#include "net/event_loop.h"
 #include "net/query_session.h"
 #include "net/query_wire.h"
+#include "net/server_core.h"
 
 namespace smeter::net {
 
@@ -107,17 +110,17 @@ struct QueryCounters {
   std::string ToJson() const;
 };
 
-class QueryServer {
+class QueryServer : private ServerHandler {
  public:
   // Opens the store, binds and listens, creates the loop.
   static Result<std::unique_ptr<QueryServer>> Create(
       QueryServerOptions options);
-  ~QueryServer();
+  ~QueryServer() override;
 
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Serves until drained/stopped. Claims the server role for its duration.
+  // Serves until drained/stopped.
   Status Run();
 
   // Thread- and async-signal-safe: begin a graceful drain.
@@ -142,48 +145,32 @@ class QueryServer {
  private:
   struct Connection;
 
-  QueryServer(QueryServerOptions options);
+  explicit QueryServer(QueryServerOptions options);
 
-  void OnAcceptable() REQUIRES(role_);
-  void AdoptConnection(int fd) REQUIRES(role_);
-  void ShedConnection(int fd) REQUIRES(role_);
-  size_t OnData(Connection* conn, std::string_view data) REQUIRES(role_);
-  void OnConnectionClosed(Connection* conn, const Status& reason)
+  // ServerHandler: hooks that touch server state claim role_ and forward
+  // to the annotated members below.
+  void OnAccept(int fd) override;
+  size_t OnData(ServerConnection* conn, std::string_view data) override;
+  void OnClosed(ServerConnection* conn, const Status& reason) override;
+  void OnDraining(ServerConnection* conn) override;
+  void OnStats() override;
+
+  size_t HandleData(Connection* conn, std::string_view data)
       REQUIRES(role_);
   void CloseConnection(Connection* conn, Status reason) REQUIRES(role_);
   void SendReplies(Connection* conn, const std::vector<Frame>& replies)
       REQUIRES(role_);
-  void BeginDrain() REQUIRES(role_);
-  void SweepIdle() REQUIRES(role_);
-  void ScheduleIdleSweep() REQUIRES(role_);
-  void MaybeFinish() REQUIRES(role_);
-  void DumpStats() REQUIRES(role_);
   QueryCounters LiveSnapshot() const REQUIRES(role_);
 
   QueryServerOptions options_;
   uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<ArchiveStore> store_;
   ThreadRole role_;
   std::ostream* stats_out_;
-
-  uint64_t next_conn_id_ GUARDED_BY(role_) = 1;
-  std::map<uint64_t, std::unique_ptr<Connection>> connections_
-      GUARDED_BY(role_);
-  // Connections whose on_close fired mid-callback; freed next loop pass.
-  std::vector<std::unique_ptr<Connection>> graveyard_ GUARDED_BY(role_);
+  // Declared before core_: open sessions hold the store, so the core (and
+  // its connection table) is destroyed first.
+  std::unique_ptr<ArchiveStore> store_;
+  std::unique_ptr<ServerCore> core_;
   QueryCounters counters_ GUARDED_BY(role_);
-  uint64_t queries_total_ GUARDED_BY(role_) = 0;
-  bool draining_ GUARDED_BY(role_) = false;
-  bool accepting_ GUARDED_BY(role_) = false;
-  bool idle_sweep_scheduled_ GUARDED_BY(role_) = false;
-  // Pre-encoded accept-time THROTTLE (admission scope); the shed path
-  // must not allocate per flood connection.
-  std::string shed_frame_ GUARDED_BY(role_);
-
-  std::atomic<bool> drain_requested_{false};
-  std::atomic<bool> stats_requested_{false};
   std::atomic<uint64_t> stats_dumps_{0};
 };
 

@@ -208,6 +208,21 @@ Result<AckPayload> ParseAck(const Frame& frame) {
   return ack;
 }
 
+Status ExpectOkAck(const Frame& frame, FrameType type) {
+  if (frame.type != type) {
+    return InternalError("expected ack type " +
+                         std::to_string(static_cast<int>(type)) + ", got " +
+                         std::to_string(static_cast<int>(frame.type)));
+  }
+  Result<AckPayload> ack = ParseAck(frame);
+  if (!ack.ok()) return ack.status();
+  if (ack->status != WireStatus::kOk) {
+    return InternalError(std::string("server refused: [") +
+                         WireStatusName(ack->status) + "] " + ack->message);
+  }
+  return Status::Ok();
+}
+
 Frame MakeTableAnnounce(const TableAnnouncePayload& payload) {
   Frame frame;
   frame.type = FrameType::kTableAnnounce;

@@ -291,6 +291,9 @@ Frame MakeThrottle(const ThrottlePayload& payload);
 
 Result<HelloPayload> ParseHello(const Frame& frame);
 Result<AckPayload> ParseAck(const Frame& frame);  // any of the three acks
+// OK when `frame` is an ack of `type` carrying kOk; otherwise an error
+// naming what arrived (the clients' conversation check).
+Status ExpectOkAck(const Frame& frame, FrameType type);
 Result<TableAnnouncePayload> ParseTableAnnounce(const Frame& frame);
 Result<SymbolBatchPayload> ParseSymbolBatch(const Frame& frame);
 Result<BatchAckPayload> ParseBatchAck(const Frame& frame);

@@ -34,6 +34,8 @@
 #include "net/archive_sink.h"
 #include "net/ingest_server.h"
 #include "net/loadgen.h"
+#include "net/query_server.h"
+#include "net/query_wire.h"
 #include "net/wire.h"
 #include "testutil.h"
 
@@ -926,6 +928,52 @@ std::string HelloBytes(const std::string& meter) {
   return net::EncodeFrame(net::MakeHello(hello));
 }
 
+// A queryd on its own thread over `store_dir`: the overload drills also
+// drive it, since it runs on the same server core as ingestd's shards.
+struct RunningQueryd {
+  std::unique_ptr<net::QueryServer> server;
+  std::thread thread;
+  Status result;
+
+  RunningQueryd() = default;
+  RunningQueryd(const RunningQueryd&) = delete;
+  RunningQueryd& operator=(const RunningQueryd&) = delete;
+
+  void Start(const std::string& store_dir, int64_t idle_timeout_ms,
+             int64_t drain_grace_ms) {
+    net::QueryServerOptions options;
+    options.store_dir = store_dir;
+    options.idle_timeout_ms = idle_timeout_ms;
+    options.drain_grace_ms = drain_grace_ms;
+    auto created = net::QueryServer::Create(std::move(options));
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (!created.ok()) return;
+    server = std::move(created.value());
+    thread = std::thread([this] { result = server->Run(); });
+  }
+
+  void DrainAndJoin() {
+    if (!thread.joinable()) return;
+    server->RequestDrain();
+    thread.join();
+  }
+
+  ~RunningQueryd() { DrainAndJoin(); }
+};
+
+// Completes a QUERY_HELLO on a raw socket, so the peer is a live session
+// rather than a connection still waiting in the accept backlog.
+bool QueryHandshake(int fd) {
+  net::QueryHelloPayload hello;
+  hello.protocol_version = net::kQueryProtocolVersion;
+  if (!SendAllBytes(fd, net::EncodeFrame(net::MakeQueryHello(hello)))) {
+    return false;
+  }
+  char ack[64];
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, 10'000) > 0 && ::recv(fd, ack, sizeof(ack), 0) > 0;
+}
+
 // A syntactically valid meter id hash-pinned to `shard` of `shards`.
 std::string MeterPinnedTo(int shard, int shards, const std::string& prefix) {
   for (int i = 0; i < 10'000; ++i) {
@@ -1091,6 +1139,34 @@ TEST(NetOverloadTest, IdleTimeoutDropsSilentPeerOnItsHomeShard) {
   ScopedThreadRole owner(running.server->role());
   EXPECT_GE(running.server->shard_counters(1).idle_drops, 1u);
   ExpectDirsBitIdentical(dir + "/offline", dir + "/online");
+
+  // queryd runs the same core sweep and drain: a silent peer is dropped as
+  // idle, and a live session still open at drain is force-closed once the
+  // grace runs out. Both closes are the server's own, so neither counts
+  // as a dropped connection.
+  RunCliOk({"store-build", "--archive", dir + "/offline", "--store",
+            dir + "/store"});
+  RunningQueryd queryd;
+  queryd.Start(dir + "/store", /*idle_timeout_ms=*/250,
+               /*drain_grace_ms=*/20);
+  ASSERT_NE(queryd.server, nullptr);
+  int silent = DialLoopback(queryd.server->port());
+  ASSERT_GE(silent, 0);
+  EXPECT_TRUE(DrainUntilPeerClose(silent, 10'000));
+  ::close(silent);
+  int lingering = DialLoopback(queryd.server->port());
+  ASSERT_GE(lingering, 0);
+  ASSERT_TRUE(QueryHandshake(lingering));
+  queryd.DrainAndJoin();
+  ASSERT_OK(queryd.result);
+  EXPECT_TRUE(DrainUntilPeerClose(lingering, 10'000));
+  ::close(lingering);
+  ScopedThreadRole query_owner(queryd.server->role());
+  const net::QueryCounters query = queryd.server->counters();
+  EXPECT_EQ(query.connections_accepted, 2u);
+  EXPECT_EQ(query.idle_drops, 1u);
+  EXPECT_EQ(query.connections_dropped, 0u);
+  EXPECT_EQ(query.connections_active, 0u);
 }
 
 // Write-stall deadline on a sharded server: a peer that floods PINGs and
@@ -1166,6 +1242,14 @@ TEST(NetOverloadTest, EmfileAcceptCrunchShedsBacklogViaReservedFd) {
   RunningServer running;
   running.Start(std::move(server_options));
   ASSERT_NE(running.server, nullptr);
+  // queryd shares the acceptor and its hatch; it is started before the
+  // crunch so its store, listener and reserve fd are already open.
+  RunCliOk({"store-build", "--archive", dir + "/offline", "--store",
+            dir + "/store"});
+  RunningQueryd queryd;
+  queryd.Start(dir + "/store", /*idle_timeout_ms=*/0,
+               /*drain_grace_ms=*/500);
+  ASSERT_NE(queryd.server, nullptr);
 
   // Clamp the soft fd limit a hair above current usage, then consume every
   // remaining slot but one — the client socket below takes that last one,
@@ -1196,6 +1280,20 @@ TEST(NetOverloadTest, EmfileAcceptCrunchShedsBacklogViaReservedFd) {
   // The hatch accepts and refuses: THROTTLE (best effort) then close.
   EXPECT_TRUE(DrainUntilPeerClose(fd, 10'000));
   ::close(fd);
+  // The same crunch against queryd. Refill the table first, so neither
+  // the slot just freed nor one the ingest hatch has not re-taken yet is
+  // left for queryd's accept; the client socket takes the only free one.
+  for (;;) {
+    const int filler = ::dup(0);
+    if (filler < 0) break;
+    fillers.push_back(filler);
+  }
+  ::close(fillers.back());
+  fillers.pop_back();
+  int query_fd = DialLoopback(queryd.server->port());
+  ASSERT_GE(query_fd, 0);
+  EXPECT_TRUE(DrainUntilPeerClose(query_fd, 10'000));
+  ::close(query_fd);
   for (int filler : fillers) ::close(filler);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old_limit), 0);
 
@@ -1208,6 +1306,13 @@ TEST(NetOverloadTest, EmfileAcceptCrunchShedsBacklogViaReservedFd) {
   EXPECT_GE(running.server->counters().accepts_emfile, 1u);
   EXPECT_GE(running.server->counters().connections_shed, 1u);
   ExpectDirsBitIdentical(dir + "/offline", dir + "/online");
+
+  queryd.DrainAndJoin();
+  ASSERT_OK(queryd.result);
+  ScopedThreadRole query_owner(queryd.server->role());
+  EXPECT_EQ(queryd.server->counters().connections_shed, 1u);
+  EXPECT_EQ(queryd.server->counters().connections_accepted, 0u);
+  EXPECT_EQ(queryd.server->counters().connections_dropped, 0u);
 }
 
 // Disk exhaustion: ENOSPC on archive writes opens the circuit breaker

@@ -608,8 +608,6 @@ Status CmdIngestd(const Flags& flags, std::ostream& out) {
   if (!watermark.ok()) return watermark.status();
   Result<int64_t> threads = flags.GetInt("threads", 1);
   if (!threads.ok()) return threads.status();
-  Result<bool> single_acceptor = flags.GetBool("single-acceptor", false);
-  if (!single_acceptor.ok()) return single_acceptor.status();
   // Overload-protection knobs; 0 disables each mechanism.
   Result<int64_t> max_conns = flags.GetInt("max-connections", 0);
   if (!max_conns.ok()) return max_conns.status();
@@ -652,7 +650,6 @@ Status CmdIngestd(const Flags& flags, std::ostream& out) {
   options.exit_after_households = static_cast<uint64_t>(*exit_after);
   options.high_watermark = static_cast<size_t>(*watermark);
   options.threads = static_cast<int>(*threads);
-  options.force_single_acceptor = *single_acceptor;
   options.max_connections = static_cast<int>(*max_conns);
   options.max_connections_per_shard = static_cast<int>(*max_conns_shard);
   options.memory_budget = static_cast<size_t>(*memory_budget);
@@ -1254,7 +1251,7 @@ std::string UsageText() {
       "               [--threads 1] [--auth-token T]\n"
       "               [--idle-timeout-ms 30000] [--drain-grace-ms 5000]\n"
       "               [--exit-after-households 0]\n"
-      "               [--high-watermark 1048576] [--single-acceptor false]\n"
+      "               [--high-watermark 1048576]\n"
       "               [--max-connections 0] [--max-connections-per-shard 0]\n"
       "               [--memory-budget 0] [--rate-limit 0]\n"
       "               [--write-stall-ms 0] [--throttle-retry-ms 250]\n"
@@ -1265,10 +1262,9 @@ std::string UsageText() {
       "               --threads N runs N per-core epoll shards, each with\n"
       "               its own SO_REUSEPORT listener; connections are pinned\n"
       "               to shards by meter-id hash, and the drained archive\n"
-      "               is byte-identical to a --threads 1 run.\n"
-      "               --single-acceptor true forces the one-listener\n"
-      "               round-robin handoff topology (also the automatic\n"
-      "               fallback where SO_REUSEPORT is unavailable).\n"
+      "               is byte-identical to a --threads 1 run (where\n"
+      "               SO_REUSEPORT is unavailable, one listener deals\n"
+      "               connections round-robin instead).\n"
       "               --exit-after-households N drains once N distinct\n"
       "               meters complete a session in this run (carried\n"
       "               --resume records count only when re-acknowledged).\n"

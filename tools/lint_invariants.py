@@ -30,6 +30,13 @@ Rules (each finding is `rule: path:line: message`, exit 1 if any fire):
                         goes through the annotated wrappers so Clang's
                         -Wthread-safety sees every acquisition
                         (DESIGN.md section 13).
+  one-server-skeleton   `::accept4(`, `::bind(` and `::listen(` appear in
+                        src/ and tools/ only in src/net/server_core.cc, and
+                        a blocking `::connect(` only in
+                        src/net/framed_client.cc: ingestd and queryd share
+                        one server core, and every client one framed
+                        transport (DESIGN.md section 14). A second copy is
+                        how the two daemons drifted apart before.
   counters-dumped       Every uint64_t field of IngestCounters
                         (src/net/ingest_server.h) and QueryCounters
                         (src/net/query_server.h) must appear as a quoted
@@ -80,6 +87,13 @@ MUTEX_RE = re.compile(
     r"unique_lock|scoped_lock|condition_variable)\b"
     r"|#\s*include\s*<(mutex|condition_variable|shared_mutex)>"
 )
+# Socket calls with exactly one legal home: (pattern, home, what).
+SOCKET_HOMES = (
+    (re.compile(r"(?<!\w)::(accept4|bind|listen)\s*\("),
+     "src/net/server_core.cc", "listener bind/accept"),
+    (re.compile(r"(?<!\w)::connect\s*\("),
+     "src/net/framed_client.cc", "blocking connect"),
+)
 # Pong frames parse through ParsePing (one nonce payload, two directions).
 PARSER_ALIASES = {"Pong": "Ping"}
 # Headers holding Make*/Parse* codec pairs that must close over each other.
@@ -108,7 +122,8 @@ def read(path):
 
 
 def lint_tokens(rel, text):
-    """File-local rules: raw-system, array-new, unchecked-value, raw-mutex."""
+    """File-local rules: raw-system, array-new, unchecked-value, raw-mutex,
+    one-server-skeleton."""
     findings = []
     lines = text.splitlines()
     for i, raw_line in enumerate(lines, start=1):
@@ -124,6 +139,11 @@ def lint_tokens(rel, text):
                 "raw-mutex", rel, i,
                 "raw std mutex/condvar outside common/sync.h; use the "
                 "annotated wrappers"))
+        for pattern, home, what in SOCKET_HOMES:
+            if rel != home and pattern.search(line):
+                findings.append((
+                    "one-server-skeleton", rel, i,
+                    f"{what} outside {home}; use the shared one"))
         if VALUE_RE.search(line) and SUPPRESS_COMMENT not in raw_line:
             window = lines[max(0, i - 1 - GUARD_WINDOW):i]
             if not any(tok in w for w in window for tok in GUARD_TOKENS):
@@ -264,6 +284,7 @@ FIXTURE_EXPECTATIONS = {
     "unchecked_value.cc": "unchecked-value",
     "raw_system.cc": "raw-system",
     "array_new.cc": "array-new",
+    "second_acceptor.cc": "one-server-skeleton",
     "undumped_counter.h": "counters-dumped",
     "undumped_query_counter.h": "counters-dumped",
     "clean.cc": None,
