@@ -11,8 +11,9 @@
 //   BM_StoreAggregate/meters:N/edges:E -- fleet histogram over the window.
 //     edges:0 is partition-aligned, so every partition is served from
 //     rollup rows alone (no segment reads); edges:1 is a ragged window
-//     whose two edge partitions fall back to segment scans. The gap
-//     between the two rows is what the rollup tables buy.
+//     whose two edge partitions each read their segment pack once and
+//     fold every meter's blob. The gap between the two rows is what the
+//     rollup tables buy.
 //
 // End-to-end serving numbers (framing, the epoll loop, queryd beside live
 // uploads) come from perfbench's live_serve workload, not from here.
@@ -160,7 +161,7 @@ void BM_StoreAggregate(benchmark::State& state) {
       static_cast<size_t>(state.range(0)));
   const bool ragged = state.range(1) != 0;
   // Aligned: every partition is fully inside the window -> rollup rows
-  // only. Ragged: both edge partitions are partial -> segment scans.
+  // only. Ragged: both edge partitions are partial -> pack folds.
   const TimeRange range =
       ragged ? TimeRange{5 * kStepSeconds, kWindowEnd - 7 * kStepSeconds}
              : TimeRange{0, kWindowEnd};

@@ -22,7 +22,7 @@
 #                                     -- fleet aggregate served from rollup
 #                                        rows alone (partition-aligned
 #                                        window) vs with edge-partition
-#                                        segment scans; the gap is what the
+#                                        pack folds; the gap is what the
 #                                        pre-computed rollups buy
 #
 # End-to-end numbers through the daemons (ingestd uploads, queryd

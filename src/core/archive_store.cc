@@ -1,9 +1,16 @@
 #include "core/archive_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cerrno>
 #include <filesystem>
-#include <set>
+#include <iterator>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -136,6 +143,122 @@ Status EnsureDir(const std::string& dir) {
   return Status::Ok();
 }
 
+// --- segment pack ----------------------------------------------------------
+//
+//   magic "SMPK" | u32le directory bytes | directory | u32le crc32c of all
+//   the bytes before it | the v3 blobs back to back, in directory order
+//
+// The directory is a LEB128 entry count, then per entry a u8 meter-name
+// length, the name, and the LEB128 blob length; names strictly ascend.
+// Blob offsets are the prefix sums of the lengths after the CRC, and the
+// lengths fill the file exactly. Blobs carry their own header and block
+// CRCs, so the pack adds no per-record checksum.
+
+constexpr char kPackMagic[4] = {'S', 'M', 'P', 'K'};
+constexpr size_t kPackPrefixBytes = sizeof(kPackMagic) + 4;
+constexpr size_t kPackCrcBytes = 4;
+
+void AppendU32Le(std::string& out, uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
+  }
+}
+
+uint32_t ReadU32Le(std::string_view bytes, size_t offset) {
+  uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    value |= static_cast<uint32_t>(static_cast<unsigned char>(
+                 bytes[offset + static_cast<size_t>(i)]))
+             << (8 * i);
+  }
+  return value;
+}
+
+void AppendLeb128(std::string& out, uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out.push_back(static_cast<char>(value));
+}
+
+// Reads a minimal-length LEB128 value of at most 64 bits from
+// bytes[*pos, end); false on a value that runs past `end`, overflows, or
+// has a redundant zero final byte (so every pack has one encoding).
+bool ReadLeb128(std::string_view bytes, size_t end, size_t* pos,
+                uint64_t* value) {
+  *value = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (*pos >= end) return false;
+    const auto byte = static_cast<unsigned char>(bytes[(*pos)++]);
+    const uint64_t bits = byte & 0x7fu;
+    if (shift == 63 && bits > 1) return false;
+    *value |= bits << shift;
+    if ((byte & 0x80u) == 0) return byte != 0 || shift == 0;
+  }
+  return false;
+}
+
+// Bytes from the start of a pack to the end of its directory CRC, read
+// from the fixed prefix; the pack's blobs start there.
+Result<uint64_t> PackHeadBytes(std::string_view head) {
+  if (head.size() < kPackPrefixBytes) {
+    return DataLossError("pack shorter than its header");
+  }
+  if (std::string_view(head.data(), sizeof(kPackMagic)) !=
+      std::string_view(kPackMagic, sizeof(kPackMagic))) {
+    return DataLossError("bad pack magic");
+  }
+  return kPackPrefixBytes + uint64_t{ReadU32Le(head, sizeof(kPackMagic))} +
+         kPackCrcBytes;
+}
+
+// Identity of one version of a file: any rewrite in place, append or
+// atomic replace (new inode) changes it.
+FileSignature SignatureOf(const struct stat& st) {
+  FileSignature signature;
+  signature.exists = true;
+  signature.inode = static_cast<uint64_t>(st.st_ino);
+  signature.size = static_cast<int64_t>(st.st_size);
+  signature.mtime_ns =
+      int64_t{st.st_mtim.tv_sec} * 1'000'000'000 + st.st_mtim.tv_nsec;
+  return signature;
+}
+
+// Closes a descriptor on scope exit.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+// Appends bytes [offset, offset + size) of `fd` to `out`.
+Status PreadAppend(int fd, uint64_t offset, uint64_t size,
+                   const std::string& path, std::string* out) {
+  const size_t base = out->size();
+  out->resize(base + size);
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, out->data() + base + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return ErrnoError("cannot read " + path);
+    if (n == 0) {
+      return DataLossError("pack shorter than its directory says: " + path);
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
 // The slot cadence a packed segment would record: the slice-local step, or
 // 0 for a single-slot segment (matching the codec header convention, so
 // rollups rebuilt from unpacked segments are bit-identical).
@@ -224,6 +347,79 @@ std::string BuildRollupLog(std::vector<RollupRow> rows) {
 }
 
 }  // namespace
+
+std::string BuildSegmentPack(
+    const std::vector<std::pair<std::string, std::string>>& segments) {
+  std::string directory;
+  AppendLeb128(directory, segments.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const std::string& meter = segments[i].first;
+    SMETER_CHECK(!meter.empty() && meter.size() <= kMaxPackMeterName);
+    SMETER_CHECK(i == 0 || segments[i - 1].first < meter);
+    directory.push_back(static_cast<char>(meter.size()));
+    directory += meter;
+    AppendLeb128(directory, segments[i].second.size());
+  }
+  SMETER_CHECK_LE(directory.size(), size_t{UINT32_MAX});
+  std::string out(kPackMagic, sizeof(kPackMagic));
+  AppendU32Le(out, static_cast<uint32_t>(directory.size()));
+  out += directory;
+  AppendU32Le(out, io::Crc32c(out));
+  for (const auto& segment : segments) out += segment.second;
+  return out;
+}
+
+Result<std::vector<PackEntry>> ParseSegmentPack(std::string_view head,
+                                                uint64_t file_size) {
+  Result<uint64_t> head_bytes = PackHeadBytes(head);
+  if (!head_bytes.ok()) return head_bytes.status();
+  if (*head_bytes > file_size || *head_bytes > head.size()) {
+    return DataLossError("torn pack directory");
+  }
+  const size_t crc_at = static_cast<size_t>(*head_bytes) - kPackCrcBytes;
+  if (io::Crc32c(head.substr(0, crc_at)) != ReadU32Le(head, crc_at)) {
+    return DataLossError("pack directory checksum mismatch");
+  }
+  size_t pos = kPackPrefixBytes;
+  uint64_t count = 0;
+  // Every entry takes at least two bytes, so a count beyond half the
+  // directory is damage, caught before anything is allocated from it.
+  if (!ReadLeb128(head, crc_at, &pos, &count) ||
+      count > (crc_at - kPackPrefixBytes) / 2) {
+    return DataLossError("malformed pack entry count");
+  }
+  std::vector<PackEntry> entries;
+  entries.reserve(static_cast<size_t>(count));
+  uint64_t offset = *head_bytes;
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t name_size =
+        pos < crc_at ? static_cast<unsigned char>(head[pos++]) : 0;
+    if (name_size == 0 || name_size > crc_at - pos) {
+      return DataLossError("malformed pack entry " + std::to_string(i));
+    }
+    PackEntry entry;
+    entry.meter = std::string_view(head.data() + pos, name_size);
+    pos += name_size;
+    if (!ReadLeb128(head, crc_at, &pos, &entry.size) ||
+        entry.size > file_size - offset) {
+      return DataLossError("pack entry " + std::to_string(i) +
+                           " runs past the end of the pack");
+    }
+    if (!entries.empty() && entries.back().meter >= entry.meter) {
+      return DataLossError("pack directory is not sorted by meter");
+    }
+    entry.offset = offset;
+    offset += entry.size;
+    entries.push_back(entry);
+  }
+  if (pos != crc_at) {
+    return DataLossError("trailing bytes in pack directory");
+  }
+  if (offset != file_size) {
+    return DataLossError("pack has bytes after its last segment");
+  }
+  return entries;
+}
 
 bool IsPartitionDirName(const std::string& name, int64_t* id_out) {
   const std::string prefix = kPartitionDirPrefix;
@@ -383,7 +579,9 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
   SMETER_RETURN_IF_ERROR(EnsureDir(store_dir));
 
   StoreBuildReport report;
-  // Per-partition accumulation: rollup rows and index stats.
+  // Per-partition accumulation: (meter, v3 blob) pairs for the pack, in
+  // meter order because the meters are; rollup rows; index stats.
+  std::map<int64_t, std::vector<std::pair<std::string, std::string>>> packs;
   std::map<int64_t, std::vector<RollupRow>> rollups;
   std::map<int64_t, PartitionInfo> index;
   std::vector<CurrentRecord> current;
@@ -400,7 +598,7 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
       ++report.meters_skipped;
       continue;
     }
-    if (series->empty()) {
+    if (series->empty() || meter.size() > kMaxPackMeterName) {
       ++report.meters_skipped;
       continue;
     }
@@ -418,12 +616,6 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
       Result<std::string> packed =
           PackSymbolicSeriesFramed(slice, options.max_block_slots);
       if (!packed.ok()) return packed.status();
-      const std::string part_dir =
-          store_dir + "/" + kPartitionDirPrefix + std::to_string(id);
-      SMETER_RETURN_IF_ERROR(EnsureDir(part_dir));
-      SMETER_FAULT_POINT("store.segment.write");
-      SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
-          part_dir + "/" + meter + kSegmentSuffix, *packed));
       ++report.segments_written;
       report.segment_bytes += packed->size();
       rollups[id].push_back(RollupFromSlice(meter, slice));
@@ -433,6 +625,7 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
       info.end = range.end;
       ++info.meters;
       info.segment_bytes += packed->size();
+      packs[id].emplace_back(meter, std::move(*packed));
     }
     CurrentRecord latest;
     latest.meter = meter;
@@ -445,6 +638,16 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
     current.push_back(std::move(latest));
   }
 
+  // Every pack is written before any rollup, so a rollup is never older
+  // than its partition's pack (fsck's staleness rule).
+  for (const auto& [id, segments] : packs) {
+    const std::string part_dir =
+        store_dir + "/" + kPartitionDirPrefix + std::to_string(id);
+    SMETER_RETURN_IF_ERROR(EnsureDir(part_dir));
+    SMETER_FAULT_POINT("store.segment.write");
+    SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
+        part_dir + "/" + kSegmentPackFile, BuildSegmentPack(segments)));
+  }
   for (auto& [id, rows] : rollups) {
     const std::string part_dir =
         store_dir + "/" + kPartitionDirPrefix + std::to_string(id);
@@ -485,56 +688,45 @@ Result<size_t> RebuildRollups(const std::string& store_dir) {
   for (int64_t id : *ids) {
     const std::string part_dir =
         store_dir + "/" + kPartitionDirPrefix + std::to_string(id);
-    std::error_code error;
-    std::vector<std::string> segs;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(part_dir, error)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      const std::string suffix = kSegmentSuffix;
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        segs.push_back(name.substr(0, name.size() - suffix.size()));
-      }
+    const std::string pack_path = part_dir + "/" + kSegmentPackFile;
+    Result<std::string> pack = io::ReadFileToString(pack_path);
+    if (!pack.ok()) {
+      return DataLossError("partition " + std::to_string(id) + " has no " +
+                           kSegmentPackFile + "; rebuild with store-build");
     }
-    if (error) {
-      return InternalError("cannot walk " + part_dir + ": " +
-                           error.message());
+    Result<std::vector<PackEntry>> entries =
+        ParseSegmentPack(*pack, pack->size());
+    if (!entries.ok()) {
+      return DataLossError(pack_path + ": " + entries.status().message());
     }
-    std::sort(segs.begin(), segs.end());
     std::vector<RollupRow> rows;
-    for (const std::string& meter : segs) {
-      Result<std::string> blob = io::ReadFileToString(
-          part_dir + "/" + meter + kSegmentSuffix);
-      if (!blob.ok()) return blob.status();
-      Result<SymbolicSeries> slice = UnpackSymbolicSeries(*blob);
+    for (const PackEntry& entry : *entries) {
+      Result<SymbolicSeries> slice = UnpackSymbolicSeries(
+          pack->substr(static_cast<size_t>(entry.offset),
+                       static_cast<size_t>(entry.size)));
       if (!slice.ok()) {
-        return DataLossError("segment " + part_dir + "/" + meter +
-                             kSegmentSuffix + ": " +
+        return DataLossError("segment " + pack_path + ":" +
+                             std::string(entry.meter) + ": " +
                              slice.status().message());
       }
-      rows.push_back(RollupFromSlice(meter, *slice));
+      rows.push_back(RollupFromSlice(std::string(entry.meter), *slice));
     }
     SMETER_FAULT_POINT("store.rollup.write");
     const std::string rollup_path = part_dir + "/" + kRollupTableFile;
     SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
         rollup_path, BuildRollupLog(std::move(rows))));
-    // Freshness is judged by mtime (fsck's stale_rollup check): a segment
+    // Freshness is judged by mtime (fsck's stale_rollup check): a pack
     // carrying a future timestamp (clock skew, restored backup) must not
     // keep a just-rebuilt rollup permanently "stale".
-    fs::file_time_type newest = fs::file_time_type::min();
-    for (const std::string& meter : segs) {
-      std::error_code time_error;
-      fs::file_time_type mtime = fs::last_write_time(
-          part_dir + "/" + meter + kSegmentSuffix, time_error);
-      if (!time_error && mtime > newest) newest = mtime;
-    }
     std::error_code time_error;
-    fs::file_time_type rollup_mtime =
-        fs::last_write_time(rollup_path, time_error);
-    if (!time_error && newest > rollup_mtime) {
-      fs::last_write_time(rollup_path, newest, time_error);
+    const fs::file_time_type pack_mtime =
+        fs::last_write_time(pack_path, time_error);
+    if (!time_error) {
+      const fs::file_time_type rollup_mtime =
+          fs::last_write_time(rollup_path, time_error);
+      if (!time_error && pack_mtime > rollup_mtime) {
+        fs::last_write_time(rollup_path, pack_mtime, time_error);
+      }
     }
     ++rebuilt;
   }
@@ -616,11 +808,14 @@ Result<std::unique_ptr<ArchiveStore>> ArchiveStore::Open(
     }
     // Retention may have raced a stale index copy; skip vanished
     // partitions rather than failing every query.
+    const std::string part_dir =
+        store_dir + "/" + kPartitionDirPrefix + std::to_string(info->id);
     std::error_code error;
-    if (!fs::is_directory(store_dir + "/" + kPartitionDirPrefix +
-                              std::to_string(info->id),
-                          error)) {
-      continue;
+    if (!fs::is_directory(part_dir, error)) continue;
+    if (!fs::exists(part_dir + "/" + kSegmentPackFile, error)) {
+      return DataLossError("partition " + std::to_string(info->id) +
+                           " has no " + kSegmentPackFile +
+                           "; rebuild with store-build");
     }
     partitions.push_back(*info);
   }
@@ -641,14 +836,16 @@ std::string ArchiveStore::PartitionDir(int64_t partition_id) const {
 Status ArchiveStore::RefreshCurrent() {
   const std::string tab = current_dir_ + "/" + kCurrentTableFile;
   const std::string log = current_dir_ + "/" + kCurrentLogFile;
-  std::error_code error;
-  int64_t bytes = 0;
-  for (const std::string& path : {tab, log}) {
-    const uintmax_t size = fs::file_size(path, error);
-    if (!error) bytes += static_cast<int64_t>(size);
-    error.clear();
+  // Any change to either file — an append, a same-size rewrite in place,
+  // or an atomic replace (new inode) — changes its signature.
+  std::array<FileSignature, 2> seen;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    struct stat st {};
+    if (::stat((i == 0 ? tab : log).c_str(), &st) == 0) {
+      seen[i] = SignatureOf(st);
+    }
   }
-  if (bytes == current_bytes_seen_) return Status::Ok();
+  if (current_refreshes_ > 0 && seen == current_seen_) return Status::Ok();
   std::map<std::string, CurrentRecord> fresh;
   for (const std::string& path : {tab, log}) {
     Result<io::AppendLogContents> contents = io::ReadAppendLog(path);
@@ -672,7 +869,7 @@ Status ArchiveStore::RefreshCurrent() {
     }
   }
   current_ = std::move(fresh);
-  current_bytes_seen_ = bytes;
+  current_seen_ = seen;
   ++current_refreshes_;
   return Status::Ok();
 }
@@ -696,17 +893,78 @@ size_t ArchiveStore::CurrentMeters() {
   return current_.size();
 }
 
+std::string ArchiveStore::PackPath(int64_t partition_id) const {
+  return PartitionDir(partition_id) + "/" + kSegmentPackFile;
+}
+
+Result<const ArchiveStore::PackDirectory*> ArchiveStore::PackDirectoryFor(
+    int64_t partition_id, int fd, const FileSignature& signature,
+    const std::string& path) {
+  ++directory_clock_;
+  PackDirectory* slot = &pack_directories_[0];
+  for (PackDirectory& cached : pack_directories_) {
+    if (cached.partition_id == partition_id &&
+        cached.signature == signature) {
+      cached.last_used = directory_clock_;
+      return &cached;
+    }
+    if (cached.last_used < slot->last_used) slot = &cached;
+  }
+  // Miss: read the prefix, then the directory, into the least recently
+  // used slot. The entries point into slot->head, which is not touched
+  // again until the slot is reused.
+  *slot = PackDirectory();
+  const auto file_size = static_cast<uint64_t>(signature.size);
+  SMETER_RETURN_IF_ERROR(PreadAppend(
+      fd, 0, std::min<uint64_t>(file_size, kPackPrefixBytes), path,
+      &slot->head));
+  Result<uint64_t> head_bytes = PackHeadBytes(slot->head);
+  if (!head_bytes.ok()) return head_bytes.status();
+  if (*head_bytes <= file_size) {
+    SMETER_RETURN_IF_ERROR(PreadAppend(fd, slot->head.size(),
+                                       *head_bytes - slot->head.size(), path,
+                                       &slot->head));
+  }
+  Result<std::vector<PackEntry>> entries =
+      ParseSegmentPack(slot->head, file_size);
+  if (!entries.ok()) return entries.status();
+  slot->entries = std::move(*entries);
+  slot->partition_id = partition_id;
+  slot->signature = signature;
+  slot->last_used = directory_clock_;
+  return slot;
+}
+
 Result<SymbolicSeries> ArchiveStore::ReadSegment(int64_t partition_id,
                                                  const std::string& meter) {
   SMETER_FAULT_POINT("store.segment.read");
-  Result<std::string> blob = io::ReadFileToString(
-      PartitionDir(partition_id) + "/" + meter + kSegmentSuffix);
-  if (!blob.ok()) return blob.status();
+  const std::string path = PackPath(partition_id);
+  ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) return NotFoundError("cannot open: " + path);
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0) return ErrnoError("cannot stat " + path);
+  Result<const PackDirectory*> directory =
+      PackDirectoryFor(partition_id, fd.get(), SignatureOf(st), path);
+  if (!directory.ok()) {
+    return DataLossError("pack of partition " + std::to_string(partition_id) +
+                         ": " + directory.status().message());
+  }
+  const std::vector<PackEntry>& entries = (*directory)->entries;
+  auto entry = std::lower_bound(
+      entries.begin(), entries.end(), meter,
+      [](const PackEntry& e, const std::string& m) { return e.meter < m; });
+  if (entry == entries.end() || entry->meter != meter) {
+    return NotFoundError("no segment for '" + meter + "' in partition " +
+                         std::to_string(partition_id));
+  }
+  std::string blob;
+  SMETER_RETURN_IF_ERROR(
+      PreadAppend(fd.get(), entry->offset, entry->size, path, &blob));
   ++segments_read_;
-  Result<SymbolicSeries> series = UnpackSymbolicSeries(*blob);
+  Result<SymbolicSeries> series = UnpackSymbolicSeries(blob);
   if (!series.ok()) {
     return DataLossError("segment p" + std::to_string(partition_id) + "/" +
-                         meter + kSegmentSuffix + ": " +
+                         kSegmentPackFile + ":" + meter + ": " +
                          series.status().message());
   }
   return series;
@@ -730,6 +988,13 @@ Result<const std::vector<RollupRow>*> ArchiveStore::Rollups(
     if (!row) {
       return DataLossError("rollup row of partition " +
                            std::to_string(partition_id) + " is malformed");
+    }
+    // Aggregate merges rows with each other and with the pack directory,
+    // which needs them in strict meter order, as BuildRollupLog writes them.
+    if (!rows.empty() && rows.back().meter >= row->meter) {
+      return DataLossError("rollup rows of partition " +
+                           std::to_string(partition_id) +
+                           " are not sorted by meter");
     }
     rows.push_back(std::move(*row));
   }
@@ -828,9 +1093,23 @@ Result<FleetAggregate> ArchiveStore::Aggregate(TimeRange range, int level) {
   }
   FleetAggregate aggregate;
   aggregate.level = level;
-  aggregate.histogram.assign(size_t{1} << level, 0);
-  std::set<std::string> meters;
-  std::set<std::string> coarser;
+  SlotCounts counts;
+  counts.histogram.assign(size_t{1} << level, 0);
+  // Distinct meter names, kept sorted and unique by merging each
+  // partition's (sorted) run in; the views point into the cached rollup
+  // rows, which outlive this call.
+  std::vector<std::string_view> meters;
+  std::vector<std::string_view> coarser;
+  std::vector<std::string_view> run_meters;
+  std::vector<std::string_view> run_coarser;
+  std::vector<std::string_view> merged;
+  auto merge_run = [&merged](std::vector<std::string_view>& into,
+                             const std::vector<std::string_view>& run) {
+    merged.clear();
+    std::set_union(into.begin(), into.end(), run.begin(), run.end(),
+                   std::back_inserter(merged));
+    into.swap(merged);
+  };
   for (const PartitionInfo& partition : partitions_) {
     if (partition.end <= range.begin || partition.start >= range.end) {
       continue;
@@ -839,53 +1118,76 @@ Result<FleetAggregate> ArchiveStore::Aggregate(TimeRange range, int level) {
         partition.start >= range.begin && partition.end <= range.end;
     Result<const std::vector<RollupRow>*> rollups = Rollups(partition.id);
     if (!rollups.ok()) return rollups.status();
+    run_meters.clear();
+    run_coarser.clear();
     if (covered) {
       ++aggregate.rollup_partitions;
       for (const RollupRow& row : **rollups) {
         if (row.level < level) {
-          coarser.insert(row.meter);
+          run_coarser.push_back(row.meter);
           continue;
         }
-        meters.insert(row.meter);
-        aggregate.windows += row.windows;
-        aggregate.gaps += row.gaps;
-        std::vector<uint64_t> folded =
+        run_meters.push_back(row.meter);
+        counts.windows += row.windows;
+        counts.gaps += row.gaps;
+        const std::vector<uint64_t> folded =
             FoldHistogram(row.histogram, row.level, level);
         for (size_t i = 0; i < folded.size(); ++i) {
-          aggregate.histogram[i] += folded[i];
+          counts.histogram[i] += folded[i];
         }
       }
-      continue;
+    } else {
+      // Edge partition: only part of it is inside the window, so the
+      // rollup row over-counts. Read the pack once and fold each meter's
+      // blob, clipped to the window, walking the rows and the directory
+      // together (both sorted by meter).
+      ++aggregate.scanned_partitions;
+      Result<std::string> pack = io::ReadFileToString(PackPath(partition.id));
+      if (!pack.ok()) return pack.status();
+      Result<std::vector<PackEntry>> entries =
+          ParseSegmentPack(*pack, pack->size());
+      if (!entries.ok()) {
+        return DataLossError("pack of partition " +
+                             std::to_string(partition.id) + ": " +
+                             entries.status().message());
+      }
+      auto entry = entries->begin();
+      for (const RollupRow& row : **rollups) {
+        if (row.level < level) {
+          run_coarser.push_back(row.meter);
+          continue;
+        }
+        SMETER_FAULT_POINT("store.segment.read");
+        while (entry != entries->end() && entry->meter < row.meter) ++entry;
+        if (entry == entries->end() || entry->meter != row.meter) continue;
+        ++segments_read_;
+        const uint64_t windows_before = counts.windows;
+        Status folded = FoldFramedSeries(
+            std::string_view(*pack).substr(static_cast<size_t>(entry->offset),
+                                           static_cast<size_t>(entry->size)),
+            range, level, &counts);
+        if (!folded.ok()) {
+          return DataLossError("segment p" + std::to_string(partition.id) +
+                               "/" + kSegmentPackFile + ":" + row.meter +
+                               ": " + folded.message());
+        }
+        if (counts.windows > windows_before) run_meters.push_back(row.meter);
+      }
     }
-    // Edge partition: only part of it is inside the window, so the rollup
-    // row over-counts; scan the segments and clip.
-    ++aggregate.scanned_partitions;
-    for (const RollupRow& row : **rollups) {
-      if (row.level < level) {
-        coarser.insert(row.meter);
-        continue;
-      }
-      Result<SymbolicSeries> segment = ReadSegment(partition.id, row.meter);
-      if (!segment.ok()) {
-        if (segment.status().code() == StatusCode::kNotFound) continue;
-        return segment.status();
-      }
-      SymbolicSeries slice = segment->Slice(range);
-      if (slice.empty()) continue;
-      meters.insert(row.meter);
-      aggregate.windows += slice.size();
-      aggregate.gaps += slice.GapCount();
-      for (const SymbolicSample& sample : slice) {
-        if (sample.symbol.is_gap()) continue;
-        Result<Symbol> coarse = sample.symbol.Coarsen(level);
-        if (!coarse.ok()) return coarse.status();
-        ++aggregate.histogram[coarse->index()];
-      }
-    }
+    merge_run(meters, run_meters);
+    merge_run(coarser, run_coarser);
   }
-  for (const std::string& meter : meters) coarser.erase(meter);
+  // A meter counts as coarser only if it contributed nowhere.
   aggregate.meters = meters.size();
-  aggregate.meters_coarser = coarser.size();
+  aggregate.meters_coarser = static_cast<uint64_t>(
+      coarser.size() -
+      static_cast<size_t>(std::count_if(
+          coarser.begin(), coarser.end(), [&meters](std::string_view m) {
+            return std::binary_search(meters.begin(), meters.end(), m);
+          })));
+  aggregate.windows = counts.windows;
+  aggregate.gaps = counts.gaps;
+  aggregate.histogram = std::move(counts.histogram);
   return aggregate;
 }
 

@@ -7,9 +7,16 @@
 //   <store>/store.index        append log (io framing, per-record CRC32C):
 //                              one JSON header record {"format","psec"}
 //                              then one JSON record per partition
-//   <store>/p<id>/<meter>.seg  the meter's slice of that time partition,
-//                              re-packed as a v3 framed blob (every byte
-//                              checksummed; salvage/fsck apply unchanged)
+//   <store>/p<id>/segments.pack
+//                              every meter's slice of that time partition,
+//                              each re-packed as a v3 framed blob (every
+//                              byte checksummed), in one file: magic "SMPK",
+//                              u32 directory length, a directory sorted by
+//                              meter (LEB128 count; per entry u8 name
+//                              length, name, LEB128 blob length), a CRC32C
+//                              over all of that, then the blobs back to
+//                              back in directory order. One atomic write
+//                              per partition
 //   <store>/p<id>/rollup.tab   append log of per-meter JSON rollup rows
 //   <store>/current.tab        append log: compacted "latest symbol per
 //                              meter" table
@@ -32,19 +39,26 @@
 // Queries (ArchiveStore):
 //   Latest()    — hot current table, refreshed from current.log so a live
 //                 ingest daemon's appends are visible without reopening
-//   Scan()      — per-meter range scan at a requested level: segment reads
-//                 for the overlapping partitions, prefix truncation to the
+//   Scan()      — per-meter range scan at a requested level: per
+//                 overlapping partition, the pack's directory and then only
+//                 the meter's blob (pread), prefix truncation to the
 //                 requested level, missing partitions gap-filled so the
 //                 cadence grid never silently skips time
 //   Aggregate() — fleet-wide histogram over a window: partitions fully
 //                 inside the window are served from rollup rows (one file
-//                 per partition, no segment reads); partial edge
-//                 partitions fall back to segment scans
+//                 per partition, no segment reads); a partial edge
+//                 partition is one pack read, each meter's blob folded
+//                 straight into the histogram (FoldFramedSeries), clipped
+//                 to the window
 //
-// Fault seams: store.segment.write, store.rollup.write, store.index.write
-// (builder), store.segment.read (query path), store.current.append
-// (ingest-time current-table update). Each is exercised by a test —
-// tools/lint_invariants.py enforces that.
+// Fault seams: store.segment.write (one per pack), store.rollup.write,
+// store.index.write (builder), store.segment.read (query path, once per
+// segment), store.current.append (ingest-time current-table update). Each
+// is exercised by a test — tools/lint_invariants.py enforces that.
+//
+// A store of the per-meter .seg layout that preceded the packs is refused
+// at Open ("rebuild with store-build"); rerunning store-build writes its
+// packs.
 //
 // Concurrency: ArchiveStore is single-threaded (the query daemon runs one
 // loop thread); CurrentTable::Update is mutex-guarded because ingest
@@ -53,11 +67,14 @@
 #ifndef SMETER_CORE_ARCHIVE_STORE_H_
 #define SMETER_CORE_ARCHIVE_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/io.h"
@@ -75,8 +92,11 @@ inline constexpr char kCurrentLogFile[] = "current.log";
 inline constexpr char kRollupTableFile[] = "rollup.tab";
 // Partition directory prefix: "p" + decimal partition id.
 inline constexpr char kPartitionDirPrefix[] = "p";
-// Segment file suffix inside a partition directory.
-inline constexpr char kSegmentSuffix[] = ".seg";
+// The one segment pack inside a partition directory.
+inline constexpr char kSegmentPackFile[] = "segments.pack";
+// Longest meter name a pack directory entry holds (u8 length);
+// BuildArchiveStore skips meters with longer names.
+inline constexpr size_t kMaxPackMeterName = 255;
 
 // On-store u16 encoding of the GAP symbol in Scan results and current
 // records (value symbols are their alphabet index, < 2^12).
@@ -97,6 +117,27 @@ int64_t PartitionIdFor(Timestamp timestamp, int64_t partition_seconds);
 // (checked): hist.size() == 2^from_level, 1 <= to_level <= from_level.
 std::vector<uint64_t> FoldHistogram(const std::vector<uint64_t>& hist,
                                     int from_level, int to_level);
+
+// One segment of a partition pack, as its directory records it.
+struct PackEntry {
+  std::string_view meter;  // points into the bytes the pack was parsed from
+  uint64_t offset = 0;     // of the v3 blob, from the start of the pack
+  uint64_t size = 0;       // blob bytes
+};
+
+// Serializes one partition pack from (meter, v3 blob) pairs. Contract
+// (checked): meters strictly ascending, 1..kMaxPackMeterName bytes each.
+std::string BuildSegmentPack(
+    const std::vector<std::pair<std::string, std::string>>& segments);
+
+// Parses and checks a pack's directory. `head` holds at least the pack's
+// first bytes through the directory CRC (the whole pack is fine);
+// `file_size` is the pack's full size. kDataLoss on a bad magic, a torn
+// directory, a directory CRC mismatch, a malformed or unsorted entry, or
+// blob lengths that do not exactly fill the rest of the file. The blobs
+// themselves are not read; each carries its own v3 checksums.
+Result<std::vector<PackEntry>> ParseSegmentPack(std::string_view head,
+                                                uint64_t file_size);
 
 // One per-meter, per-partition rollup row. Histogram is at the meter's
 // native level; coarser levels are FoldHistogram away.
@@ -196,15 +237,16 @@ struct StoreBuildReport {
 
 // Builds (or deterministically rebuilds) a store from an archive
 // directory. Reads every <meter>.symbols under `archive_dir`, slices each
-// series into partitions, writes segments, per-partition rollup tables,
-// the index, and the compacted current table. All writes are atomic and
-// the output is a pure function of the archive contents, so a build
-// killed at any point converges to the identical store when re-run.
+// series into partitions, writes one segment pack per partition, then the
+// per-partition rollup tables, the index, and the compacted current table.
+// All writes are atomic and the output is a pure function of the archive
+// contents, so a build killed at any point converges to the identical
+// store when re-run.
 Result<StoreBuildReport> BuildArchiveStore(
     const std::string& archive_dir, const std::string& store_dir,
     const StoreBuildOptions& options = {});
 
-// Recomputes every partition's rollup.tab from its segment files —
+// Recomputes every partition's rollup.tab from its segment pack —
 // byte-identical to what BuildArchiveStore wrote (the convergence drill
 // CI verifies). Returns the number of rollup tables rewritten.
 Result<size_t> RebuildRollups(const std::string& store_dir);
@@ -245,6 +287,19 @@ struct FleetAggregate {
   uint32_t scanned_partitions = 0;  // edge partitions that needed segments
 };
 
+// Identity of one version of a file — (inode, size, mtime) — as the store
+// uses it to tell whether a file it read has changed since.
+struct FileSignature {
+  bool exists = false;
+  uint64_t inode = 0;
+  int64_t size = 0;
+  int64_t mtime_ns = 0;
+  friend bool operator==(const FileSignature& a, const FileSignature& b) {
+    return a.exists == b.exists && a.inode == b.inode && a.size == b.size &&
+           a.mtime_ns == b.mtime_ns;
+  }
+};
+
 struct ArchiveStoreOptions {
   // Where the current table lives; empty means the store directory
   // itself. A query daemon co-serving a live ingest points this at the
@@ -260,6 +315,10 @@ class ArchiveStore {
  public:
   static Result<std::unique_ptr<ArchiveStore>> Open(
       const std::string& store_dir, const ArchiveStoreOptions& options = {});
+
+  // The cached pack directories hold views into the store's own buffers.
+  ArchiveStore(const ArchiveStore&) = delete;
+  ArchiveStore& operator=(const ArchiveStore&) = delete;
 
   const std::vector<PartitionInfo>& partitions() const { return partitions_; }
   int64_t partition_seconds() const { return partition_seconds_; }
@@ -280,7 +339,8 @@ class ArchiveStore {
 
   // Fleet-wide aggregate over [range.begin, range.end) at `level` in
   // [1, kMaxSymbolLevel]. Partitions fully covered by the range are
-  // folded from rollup rows; edge partitions are segment-scanned.
+  // folded from rollup rows; an edge partition's pack is read once and
+  // each meter's blob folded, clipped to the range.
   Result<FleetAggregate> Aggregate(TimeRange range, int level);
 
   // Number of distinct meters in the current table (after refresh);
@@ -296,15 +356,37 @@ class ArchiveStore {
                int64_t partition_seconds,
                std::vector<PartitionInfo> partitions);
 
-  // Re-reads current.tab + current.log when the log changed size.
+  // One pack directory Scan has read, valid while the pack keeps the
+  // signature it was read at.
+  struct PackDirectory {
+    int64_t partition_id = 0;
+    FileSignature signature;
+    std::string head;                // the pack through its directory CRC
+    std::vector<PackEntry> entries;  // views into `head`
+    uint64_t last_used = 0;          // 0: empty slot
+  };
+  // Directories of this many partitions at most stay parsed, enough for a
+  // week-long Scan over daily partitions.
+  static constexpr size_t kPackDirectorySlots = 8;
+
+  // Re-reads current.tab + current.log when either file's (inode, size,
+  // mtime) signature changed.
   Status RefreshCurrent();
   // Loads (and caches) one partition's rollup rows.
   Result<const std::vector<RollupRow>*> Rollups(int64_t partition_id);
-  // Reads and unpacks one segment; NotFound when the meter has no segment
-  // in the partition. Fault seam: store.segment.read.
+  // The directory of the pack open as `fd`: from the slots when its
+  // signature still matches, else read (prefix, then directory) and parsed
+  // into the least recently used slot.
+  Result<const PackDirectory*> PackDirectoryFor(
+      int64_t partition_id, int fd, const FileSignature& signature,
+      const std::string& path);
+  // Reads one segment out of the partition's pack (the directory, then
+  // only that blob, by pread) and unpacks it; NotFound when the meter has
+  // no segment in the partition. Fault seam: store.segment.read.
   Result<SymbolicSeries> ReadSegment(int64_t partition_id,
                                      const std::string& meter);
   std::string PartitionDir(int64_t partition_id) const;
+  std::string PackPath(int64_t partition_id) const;
 
   const std::string dir_;
   const std::string current_dir_;
@@ -312,9 +394,12 @@ class ArchiveStore {
   std::vector<PartitionInfo> partitions_;  // sorted by id
   std::map<int64_t, std::vector<RollupRow>> rollup_cache_;
   std::map<std::string, CurrentRecord> current_;
-  // Size of current.tab + current.log at the last refresh; growth
-  // triggers a re-read.
-  int64_t current_bytes_seen_ = -1;
+  // current.tab and current.log as of the last refresh.
+  std::array<FileSignature, 2> current_seen_;
+  // Fixed size (never reallocated, so entries' views stay valid).
+  std::vector<PackDirectory> pack_directories_ =
+      std::vector<PackDirectory>(kPackDirectorySlots);
+  uint64_t directory_clock_ = 0;
   uint64_t segments_read_ = 0;
   uint64_t current_refreshes_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
 #include "common/io.h"
 
 namespace smeter {
@@ -38,7 +39,7 @@ void AppendLittleEndian(std::string& out, uint64_t value, int bytes) {
   }
 }
 
-uint64_t ReadLittleEndian(const std::string& blob, size_t offset, int bytes) {
+uint64_t ReadLittleEndian(std::string_view blob, size_t offset, int bytes) {
   uint64_t value = 0;
   for (int i = 0; i < bytes; ++i) {
     value |= static_cast<uint64_t>(
@@ -134,7 +135,7 @@ struct V3Header {
 // Validates the 30-byte framed header (magic and version already checked by
 // the caller). CRC failure is kDataLoss; a field that the CRC vouches for
 // but that makes no sense is kInvalidArgument (the encoder never wrote it).
-Status ParseV3Header(const std::string& blob, V3Header* header) {
+Status ParseV3Header(std::string_view blob, V3Header* header) {
   if (blob.size() < kFramedHeaderBytes) {
     return DataLossError("v3 blob shorter than framed header");
   }
@@ -169,14 +170,16 @@ Status ParseV3Header(const std::string& blob, V3Header* header) {
   return Status::Ok();
 }
 
-// Parses the v3 block at `offset`, writing decoded slots into `slots`.
+// Parses the v3 block at `offset`, handing each decoded slot to
+// `emit(slot_index, value)` (value is a symbol index or kGapSlot). Every
+// check runs before the first emit, so a failing block emits nothing.
 // `expected_first` pins the contiguity rule for the strict reader; salvage
 // passes SIZE_MAX to accept any in-range placement. Damage (bad sync, bad
 // CRC, bytes missing) is kDataLoss; CRC-clean nonsense is kInvalidArgument.
-Status ParseV3Block(const std::string& blob, size_t offset,
+template <typename Emit>
+Status ParseV3Block(std::string_view blob, size_t offset,
                     const V3Header& header, size_t expected_first,
-                    std::vector<int32_t>* slots, size_t* end_offset,
-                    size_t* slots_done) {
+                    Emit&& emit, size_t* end_offset, size_t* slots_done) {
   if (blob.size() < offset || blob.size() - offset < kBlockHeaderBytes) {
     return DataLossError("truncated block header");
   }
@@ -257,7 +260,7 @@ Status ParseV3Block(const std::string& blob, size_t offset,
   for (size_t i = 0; i < slot_count; ++i) {
     if (has_bitmap &&
         ((static_cast<unsigned char>(payload[i / 8]) >> (7 - i % 8)) & 1u)) {
-      (*slots)[first_slot + i] = kGapSlot;
+      emit(first_slot + i, kGapSlot);
       continue;
     }
     while (bits_held < header.level) {
@@ -266,8 +269,9 @@ Status ParseV3Block(const std::string& blob, size_t offset,
           static_cast<unsigned char>(payload[byte_index++]);
       bits_held += 8;
     }
-    (*slots)[first_slot + i] = static_cast<int32_t>(
-        (accumulator >> (bits_held - header.level)) & mask);
+    emit(first_slot + i, static_cast<int32_t>(
+                             (accumulator >> (bits_held - header.level)) &
+                             mask));
     bits_held -= header.level;
   }
   *end_offset = offset + kBlockHeaderBytes + payload_len;
@@ -295,19 +299,30 @@ Result<SymbolicSeries> BuildSeriesFromSlots(const V3Header& header,
   return series;
 }
 
+// Checks shared by every reader before the version byte selects a grammar.
+Status CheckMagic(std::string_view blob) {
+  if (blob.size() < kHeaderBytes) {
+    return InvalidArgumentError("blob shorter than header");
+  }
+  if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
+    return InvalidArgumentError("bad magic");
+  }
+  return Status::Ok();
+}
+
 // Strict v3 reader: blocks must tile [0, count) in order and the blob must
-// end exactly at the final block.
-Result<SymbolicSeries> UnpackFramed(const std::string& blob) {
-  V3Header header;
-  SMETER_RETURN_IF_ERROR(ParseV3Header(blob, &header));
-  std::vector<int32_t> slots(header.count, kUnfilledSlot);
+// end exactly at the final block. Each slot goes to `emit` as
+// ParseV3Block hands it over.
+template <typename Emit>
+Status ReadFramed(std::string_view blob, const V3Header& header,
+                  Emit&& emit) {
   size_t offset = kFramedHeaderBytes;
   size_t cursor = 0;
   size_t block_index = 0;
   while (cursor < header.count) {
     size_t end_offset = 0;
     size_t slots_done = 0;
-    Status parsed = ParseV3Block(blob, offset, header, cursor, &slots,
+    Status parsed = ParseV3Block(blob, offset, header, cursor, emit,
                                  &end_offset, &slots_done);
     if (!parsed.ok()) {
       return Status(parsed.code(),
@@ -322,6 +337,15 @@ Result<SymbolicSeries> UnpackFramed(const std::string& blob) {
   if (offset != blob.size()) {
     return InvalidArgumentError("trailing bytes after final v3 block");
   }
+  return Status::Ok();
+}
+
+Result<SymbolicSeries> UnpackFramed(std::string_view blob) {
+  V3Header header;
+  SMETER_RETURN_IF_ERROR(ParseV3Header(blob, &header));
+  std::vector<int32_t> slots(header.count, kUnfilledSlot);
+  SMETER_RETURN_IF_ERROR(ReadFramed(
+      blob, header, [&](size_t slot, int32_t value) { slots[slot] = value; }));
   return BuildSeriesFromSlots(header, slots);
 }
 
@@ -444,12 +468,7 @@ Result<std::string> PackSymbolicSeriesFramed(const SymbolicSeries& series,
 }
 
 Result<SymbolicSeries> UnpackSymbolicSeries(const std::string& blob) {
-  if (blob.size() < kHeaderBytes) {
-    return InvalidArgumentError("blob shorter than header");
-  }
-  if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
-    return InvalidArgumentError("bad magic");
-  }
+  SMETER_RETURN_IF_ERROR(CheckMagic(blob));
   uint8_t version = static_cast<uint8_t>(blob[4]);
   if (version == kVersionFramed) return UnpackFramed(blob);
   if (version != kVersionGapless && version != kVersionWithGaps) {
@@ -545,6 +564,45 @@ Result<SymbolicSeries> UnpackSymbolicSeries(const std::string& blob) {
   return series;
 }
 
+Status FoldFramedSeries(std::string_view blob, TimeRange range, int level,
+                        SlotCounts* counts) {
+  SMETER_CHECK(level >= 1 && level <= kMaxSymbolLevel);
+  SMETER_CHECK_EQ(counts->histogram.size(), size_t{1} << level);
+  SMETER_RETURN_IF_ERROR(CheckMagic(blob));
+  if (static_cast<uint8_t>(blob[4]) != kVersionFramed) {
+    return DataLossError("not a v3 framed blob (version " +
+                         std::to_string(static_cast<uint8_t>(blob[4])) +
+                         ")");
+  }
+  V3Header header;
+  SMETER_RETURN_IF_ERROR(ParseV3Header(blob, &header));
+  // The level is judged after the blocks, so a damaged blob reports its
+  // damage first, exactly as UnpackSymbolicSeries would.
+  const bool level_ok = level <= header.level;
+  const int shift = level_ok ? header.level - level : 0;
+  SMETER_RETURN_IF_ERROR(
+      ReadFramed(blob, header, [&](size_t slot, int32_t value) {
+        // The header check guarantees start + slot * step cannot overflow.
+        if (!level_ok || !range.Contains(header.start +
+                                         static_cast<int64_t>(slot) *
+                                             header.step)) {
+          return;
+        }
+        ++counts->windows;
+        if (value == kGapSlot) {
+          ++counts->gaps;
+        } else {
+          ++counts->histogram[static_cast<uint32_t>(value) >> shift];
+        }
+      }));
+  if (!level_ok) {
+    return InvalidArgumentError("fold level " + std::to_string(level) +
+                                " is finer than the native level " +
+                                std::to_string(header.level));
+  }
+  return Status::Ok();
+}
+
 Result<SymbolicSeries> SalvageSymbolicSeries(const std::string& blob,
                                              SalvageSummary* summary) {
   if (blob.size() < kHeaderBytes ||
@@ -570,8 +628,10 @@ Result<SymbolicSeries> SalvageSymbolicSeries(const std::string& blob,
     if (found == std::string::npos) break;
     size_t end_offset = 0;
     size_t slots_done = 0;
-    Status parsed = ParseV3Block(blob, found, header, SIZE_MAX, &slots,
-                                 &end_offset, &slots_done);
+    Status parsed = ParseV3Block(
+        blob, found, header, SIZE_MAX,
+        [&](size_t slot, int32_t value) { slots[slot] = value; }, &end_offset,
+        &slots_done);
     if (parsed.ok()) {
       ++recovered_blocks;
       pos = end_offset;

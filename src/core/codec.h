@@ -45,12 +45,16 @@
 // pinpoints the damaged block (index and byte offset) instead of returning
 // garbage, and SalvageSymbolicSeries re-locks onto the sync markers to
 // recover every intact block, representing the destroyed slots as GAP runs.
+// FoldFramedSeries runs the same strict parse but counts slots straight
+// into a histogram, for the store's aggregates.
 
 #ifndef SMETER_CORE_CODEC_H_
 #define SMETER_CORE_CODEC_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "core/symbolic_series.h"
@@ -83,6 +87,27 @@ Result<std::string> PackSymbolicSeriesFramed(
 // every block CRC, failing with StatusCode::kDataLoss naming the damaged
 // block and its byte offset.
 Result<SymbolicSeries> UnpackSymbolicSeries(const std::string& blob);
+
+// Slot tallies of one series clipped to a time range, at one level.
+struct SlotCounts {
+  uint64_t windows = 0;  // slots in range, GAPs included
+  uint64_t gaps = 0;     // GAP slots in range
+  // Value slots per symbol at the fold level (size 2^level): a native
+  // symbol counts in bucket index >> (native - level), the prefix fold.
+  std::vector<uint64_t> histogram;
+};
+
+// Adds the slots of the v3 `blob` whose timestamps fall in `range` to
+// `counts`, at `level`, without materializing the series: the same
+// header/block parse and every check UnpackSymbolicSeries runs (header
+// CRC, each block CRC, block tiling, trailing bytes), with the same status
+// codes. A blob of another version is kDataLoss (store segments are always
+// v3); a `level` finer than the blob's native level is kInvalidArgument,
+// judged after the blocks. Contract (checked): 1 <= level <=
+// kMaxSymbolLevel and counts->histogram.size() == 2^level. On error
+// `counts` may hold part of the blob's tally.
+Status FoldFramedSeries(std::string_view blob, TimeRange range, int level,
+                        SlotCounts* counts);
 
 // What SalvageSymbolicSeries managed to recover.
 struct SalvageSummary {

@@ -159,10 +159,11 @@ Result<FsckReport> FsckArchive(const std::string& dir,
     }
   }
 
-  // Partition directories: verify every segment, then grade the rollup —
-  // parse-clean AND fresh. A rollup older than a segment (a killed
-  // store-build or a quarantined segment) serves stale aggregates, so it
-  // is flagged and, under --repair, removed for `store-rollup` to rebuild.
+  // Partition directories: verify the pack's directory and every segment
+  // in it, then grade the rollup — parse-clean AND fresh. A rollup older
+  // than its pack (a killed store-build or a repaired pack) or covering a
+  // damaged segment serves stale aggregates, so it is flagged and, under
+  // --repair, removed for `store-rollup` to rebuild.
   std::vector<std::pair<int64_t, std::string>> partition_dirs;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, error)) {
     if (!entry.is_directory()) continue;
@@ -173,43 +174,91 @@ Result<FsckReport> FsckArchive(const std::string& dir,
   std::sort(partition_dirs.begin(), partition_dirs.end());
   for (const auto& [id, pdir] : partition_dirs) {
     ++report.partitions_checked;
-    const std::string pdir_path = dir + "/" + pdir;
-    std::vector<std::string> segments;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(pdir_path, error)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (EndsWith(name, kSegmentSuffix)) segments.push_back(name);
-    }
-    std::sort(segments.begin(), segments.end());
-
+    const std::string pack_rel = pdir + "/" + kSegmentPackFile;
+    const std::string pack_path = dir + "/" + pack_rel;
+    std::error_code pack_error;
+    const bool has_pack = fs::exists(pack_path, pack_error);
     bool partition_clean = true;
     bool rollup_stale = false;
-    fs::file_time_type newest_segment = fs::file_time_type::min();
-    for (const std::string& segment : segments) {
-      const std::string rel = pdir + "/" + segment;
-      const std::string path = dir + "/" + rel;
+    fs::file_time_type pack_mtime = fs::file_time_type::min();
+    if (!has_pack) {
+      // A killed store-build, or a store of the older per-meter .seg
+      // layout: the store refuses it until store-build runs again.
+      partition_clean = false;
+      add_issue(pack_rel, "missing_pack",
+                "partition has no segment pack; rebuild with store-build");
+    } else {
       ++report.files_checked;
       ++store_files;
       std::error_code time_error;
-      fs::file_time_type mtime = fs::last_write_time(path, time_error);
-      if (!time_error && mtime > newest_segment) newest_segment = mtime;
-      Result<std::string> blob = io::ReadFileToString(path);
-      Status verified = blob.status();
-      if (blob.ok()) {
-        Result<SymbolicSeries> series = UnpackSymbolicSeries(*blob);
-        verified = series.ok() ? Status::Ok() : series.status();
-      }
-      if (verified.ok()) {
-        ++report.segments_ok;
-        continue;
-      }
-      partition_clean = false;
-      rollup_stale = true;  // the rollup still counts the damaged meter
-      FsckIssue& issue =
-          add_issue(rel, "corrupt_segment", verified.ToString());
-      if (options.repair) {
-        repair_with(issue, "quarantined", QuarantineFile(path));
+      pack_mtime = fs::last_write_time(pack_path, time_error);
+      if (time_error) pack_mtime = fs::file_time_type::min();
+      Result<std::string> pack = io::ReadFileToString(pack_path);
+      Result<std::vector<PackEntry>> entries =
+          pack.ok() ? ParseSegmentPack(*pack, pack->size())
+                    : Result<std::vector<PackEntry>>(pack.status());
+      if (!entries.ok()) {
+        // Without a trusted directory no record can be located: the whole
+        // pack goes, and an empty one takes its place so the partition
+        // stays readable (its rollup is rebuilt empty).
+        partition_clean = false;
+        rollup_stale = true;
+        FsckIssue& issue =
+            add_issue(pack_rel, "corrupt_pack", entries.status().ToString());
+        if (options.repair) {
+          Status quarantined = QuarantineFile(pack_path);
+          if (quarantined.ok()) {
+            quarantined = io::AtomicWriteFile(pack_path, BuildSegmentPack({}));
+          }
+          repair_with(issue, "quarantined", quarantined);
+        }
+      } else {
+        // Each record is a whole v3 blob; a damaged one is cut out of the
+        // pack on repair, its bytes kept beside it for forensics.
+        std::vector<std::pair<std::string, std::string>> kept;
+        std::vector<size_t> damaged_issues;
+        for (const PackEntry& entry : *entries) {
+          std::string blob(*pack, static_cast<size_t>(entry.offset),
+                           static_cast<size_t>(entry.size));
+          // The fold runs the strict v3 parse (and refuses any other
+          // version) without building the series.
+          SlotCounts counts;
+          counts.histogram.assign(2, 0);
+          const Status verified =
+              FoldFramedSeries(blob, {INT64_MIN, INT64_MAX}, 1, &counts);
+          if (verified.ok()) {
+            ++report.segments_ok;
+            kept.emplace_back(std::string(entry.meter), std::move(blob));
+            continue;
+          }
+          partition_clean = false;
+          rollup_stale = true;  // the rollup still counts the damaged meter
+          const std::string meter(entry.meter);
+          FsckIssue& issue =
+              add_issue(pack_rel, "corrupt_segment",
+                        "meter '" + meter + "': " + verified.ToString());
+          if (!options.repair) continue;
+          const Status quarantined = io::AtomicWriteFile(
+              pack_path + "." + meter + ".corrupt", blob);
+          repair_with(issue, "quarantined", quarantined);
+          if (quarantined.ok()) {
+            damaged_issues.push_back(report.issues.size() - 1);
+          } else {
+            kept.emplace_back(meter, std::move(blob));  // never drop bytes
+          }
+        }
+        if (!damaged_issues.empty()) {
+          const Status rewritten =
+              io::AtomicWriteFile(pack_path, BuildSegmentPack(kept));
+          if (!rewritten.ok()) {
+            for (size_t index : damaged_issues) {
+              FsckIssue& issue = report.issues[index];
+              issue.repaired = false;
+              issue.action.clear();
+              issue.detail += "; pack rewrite failed: " + rewritten.message();
+            }
+          }
+        }
       }
     }
     if (partition_clean) ++report.partitions_ok;
@@ -218,9 +267,9 @@ Result<FsckReport> FsckArchive(const std::string& dir,
     const std::string rollup_path = dir + "/" + rollup_rel;
     std::error_code exists_error;
     if (!fs::exists(rollup_path, exists_error)) {
-      // Segments without a rollup (a killed build, or a previous repair):
+      // A pack without a rollup (a killed build, or a previous repair):
       // aggregates over this partition fail until store-rollup runs.
-      if (!segments.empty()) {
+      if (has_pack) {
         add_issue(rollup_rel, "stale_rollup",
                   "partition has segments but no rollup table; run "
                   "store-rollup to rebuild");
@@ -245,15 +294,15 @@ Result<FsckReport> FsckArchive(const std::string& dir,
     std::error_code time_error;
     fs::file_time_type rollup_mtime =
         fs::last_write_time(rollup_path, time_error);
-    if (!rollup_stale && !time_error && !segments.empty() &&
-        rollup_mtime < newest_segment) {
+    if (!rollup_stale && !time_error && has_pack &&
+        rollup_mtime < pack_mtime) {
       rollup_stale = true;
     }
     if (rollup_stale) {
       FsckIssue& issue = add_issue(
           rollup_rel, "stale_rollup",
-          "rollup is older than the partition's segments (or covers a "
-          "quarantined one); run store-rollup to rebuild");
+          "rollup is older than the partition's pack (or covers a "
+          "damaged segment); run store-rollup to rebuild");
       if (options.repair) {
         repair_with(issue, "removed", RemoveFile(rollup_path));
       }

@@ -19,13 +19,22 @@
 //   store.index      append-log framing and per-record CRC32C; torn tails
 //                    are truncated, mid-file damage quarantined (a
 //                    store-build rebuilds the index)
-//   p<id>/*.seg      partition segments: full v3 parse including block
-//                    checksums; damaged segments are quarantined
+//   p<id>/segments.pack
+//                    the partition's segment pack: directory CRC and
+//                    layout, then a full v3 parse of every record. A
+//                    damaged record (corrupt_segment, naming the meter) is
+//                    cut out on repair: its bytes go to
+//                    segments.pack.<meter>.corrupt and the pack is
+//                    rewritten without it. A pack whose directory cannot
+//                    be trusted (corrupt_pack) is quarantined whole and
+//                    replaced by an empty one. A partition with no pack
+//                    (missing_pack: a killed build, or the older .seg
+//                    layout) is left for `store-build`
 //   p<id>/rollup.tab pre-computed rollup rows: framing + row parse; torn
 //                    tails truncated, damage quarantined. A rollup older
-//                    than any segment in its partition (or covering a
-//                    quarantined segment) is STALE: flagged, and repair
-//                    removes it so `store-rollup` rebuilds it
+//                    than its partition's pack (or covering a damaged
+//                    segment) is STALE: flagged, and repair removes it so
+//                    `store-rollup` rebuilds it
 //   current.tab/.log hot current-table logs (also written by a live
 //                    ingestd): framing checks, torn tails truncated,
 //                    damage quarantined
@@ -62,7 +71,8 @@ struct FsckIssue {
   std::string path;  // file name relative to the archive directory
   // One of: corrupt_symbols, corrupt_table, torn_manifest,
   // corrupt_manifest, invalid_manifest, missing_artifact, stray_tmp,
-  // torn_spool, corrupt_spool, corrupt_segment, torn_rollup,
+  // torn_spool, corrupt_spool, corrupt_pack, missing_pack,
+  // corrupt_segment, torn_rollup,
   // corrupt_rollup, stale_rollup, torn_store_index, corrupt_store_index,
   // torn_current, corrupt_current.
   std::string kind;
@@ -80,9 +90,9 @@ struct FsckReport {
   size_t tables_ok = 0;
   size_t spools_ok = 0;
   size_t manifest_records = 0;
-  // Query-store findings: a partition is ok when every segment in it
-  // verified; a rollup is ok when its rows parsed clean AND it is not
-  // stale relative to the partition's segments.
+  // Query-store findings: a partition is ok when its pack and every
+  // segment in it verified; a rollup is ok when its rows parsed clean AND
+  // it is not stale relative to the partition's pack.
   size_t partitions_checked = 0;
   size_t partitions_ok = 0;
   size_t rollups_ok = 0;

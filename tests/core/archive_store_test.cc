@@ -18,6 +18,7 @@
 #include "common/fault_injection.h"
 #include "common/io.h"
 #include "core/codec.h"
+#include "core/fsck.h"
 #include "core/symbolic_series.h"
 #include "testutil.h"
 
@@ -461,6 +462,37 @@ TEST(ArchiveStoreCurrent, LiveLogAppendsRefreshLatest) {
   EXPECT_EQ(after->timestamp, fresh.timestamp);
   EXPECT_EQ(after->symbol, 9);
   EXPECT_GT((*store)->current_refreshes(), 0u);
+
+  // A compaction that rewrites current.tab to the same size with other
+  // content (house_b's symbol swapped for one of equal width) must still
+  // be seen: the store tracks each file's signature, not a byte total.
+  const std::string tab = root + "/store/" + kCurrentTableFile;
+  auto log = io::ReadAppendLog(tab);
+  ASSERT_TRUE(log.ok());
+  std::vector<std::string> records;
+  uint16_t swapped = 0;
+  for (const std::string& record : log->records) {
+    auto parsed = ParseCurrentRecord(record);
+    ASSERT_TRUE(parsed.has_value());
+    if (parsed->meter == "house_b") {
+      ASSERT_NE(parsed->symbol, kStoreGapSymbol);
+      parsed->symbol = static_cast<uint16_t>(
+          parsed->symbol < 10 ? (parsed->symbol + 1) % 10
+                              : 10 + (parsed->symbol - 9) % 6);
+      swapped = parsed->symbol;
+    }
+    records.push_back(CurrentRecordJson(*parsed));
+  }
+  const std::string rewritten = io::BuildAppendLog(records);
+  ASSERT_EQ(rewritten.size(), fs::file_size(tab));
+  ASSERT_NE(rewritten, io::ReadFileToString(tab).value());
+  auto before_b = (*store)->Latest("house_b");
+  ASSERT_TRUE(before_b.ok());
+  ASSERT_NE(before_b->symbol, swapped);
+  ASSERT_TRUE(io::AtomicWriteFile(tab, rewritten).ok());
+  auto after_b = (*store)->Latest("house_b");
+  ASSERT_TRUE(after_b.ok());
+  EXPECT_EQ(after_b->symbol, swapped);
 }
 
 // --- crash convergence through the fault seams -----------------------------
@@ -514,6 +546,71 @@ TEST(ArchiveStoreFaults, SegmentReadFailureSurfacesWithoutCorruption) {
   // The store object survives an injected read failure.
   auto scan = (*store)->Scan("house_a", {0, 10'000'000}, 0, 1000);
   EXPECT_TRUE(scan.ok());
+
+  // Real damage: flip a byte inside house_b's record in partition 1's
+  // pack. fsck names the partition and the meter; --repair cuts the record
+  // out of the pack, keeps its bytes beside it and drops the stale rollup;
+  // store-rollup then brings the store back to clean.
+  const std::string pack_path =
+      root + "/store/p1/" + std::string(kSegmentPackFile);
+  std::string pack = io::ReadFileToString(pack_path).value();
+  auto entries = ParseSegmentPack(pack, pack.size());
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  std::string damaged_blob;
+  size_t kept_segments = 0;
+  for (const PackEntry& entry : *entries) {
+    if (entry.meter != "house_b") {
+      ++kept_segments;
+      continue;
+    }
+    const size_t at = static_cast<size_t>(entry.offset + entry.size - 1);
+    pack[at] = static_cast<char>(pack[at] ^ 0x40);
+    damaged_blob = pack.substr(static_cast<size_t>(entry.offset),
+                               static_cast<size_t>(entry.size));
+  }
+  ASSERT_FALSE(damaged_blob.empty());
+  ASSERT_TRUE(io::AtomicWriteFile(pack_path, pack).ok());
+
+  auto found = FsckArchive(root + "/store", FsckOptions{});
+  ASSERT_TRUE(found.ok());
+  bool named = false;
+  for (const FsckIssue& issue : found->issues) {
+    if (issue.kind == "corrupt_segment") {
+      EXPECT_EQ(issue.path, "p1/" + std::string(kSegmentPackFile));
+      EXPECT_NE(issue.detail.find("house_b"), std::string::npos)
+          << issue.detail;
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named);
+  EXPECT_EQ(FsckExitCode(*found), 4);
+
+  FsckOptions repair;
+  repair.repair = true;
+  auto repaired = FsckArchive(root + "/store", repair);
+  ASSERT_TRUE(repaired.ok());
+  bool stale_flagged = false;
+  for (const FsckIssue& issue : repaired->issues) {
+    EXPECT_TRUE(issue.repaired) << issue.kind << " " << issue.detail;
+    if (issue.kind == "stale_rollup" && issue.path == "p1/rollup.tab") {
+      stale_flagged = true;
+    }
+  }
+  EXPECT_TRUE(stale_flagged);
+  EXPECT_EQ(FsckExitCode(*repaired), 1);
+  EXPECT_EQ(io::ReadFileToString(pack_path + ".house_b.corrupt").value(),
+            damaged_blob);
+  const std::string rewritten = io::ReadFileToString(pack_path).value();
+  auto kept = ParseSegmentPack(rewritten, rewritten.size());
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(kept->size(), kept_segments);
+  for (const PackEntry& entry : *kept) EXPECT_NE(entry.meter, "house_b");
+  EXPECT_FALSE(fs::exists(root + "/store/p1/" + kRollupTableFile));
+
+  ASSERT_TRUE(RebuildRollups(root + "/store").ok());
+  auto clean = FsckArchive(root + "/store", FsckOptions{});
+  ASSERT_TRUE(clean.ok());
+  EXPECT_TRUE(clean->clean()) << FsckReportToJson(*clean);
 }
 
 TEST(ArchiveStoreFaults, CurrentAppendSeamDegradesNotDies) {

@@ -4,7 +4,8 @@
 //
 // Crash conditions (beyond sanitizer reports): a round-trip that does not
 // reproduce the packed symbols, a reconstruction outside the symbol's
-// range, or a Serialize blob its own Deserialize rejects.
+// range, a Serialize blob its own Deserialize rejects, or a fold
+// (FoldFramedSeries) that disagrees with unpack + slice + histogram.
 
 #include <cmath>
 #include <cstdint>
@@ -24,9 +25,54 @@ namespace {
 
 using fuzz::FuzzInput;
 
+// Differential oracle for the store's fold: on a v3 blob it must agree
+// with UnpackSymbolicSeries + Slice + prefix-coarsened histogram on the
+// ok/error code and on every count; any other blob it refuses.
+void CheckFoldMatchesUnpack(const std::string& blob, TimeRange range,
+                            int level) {
+  SlotCounts counts;
+  counts.histogram.assign(size_t{1} << level, 0);
+  const Status folded = FoldFramedSeries(blob, range, level, &counts);
+  Result<SymbolicSeries> series = UnpackSymbolicSeries(blob);
+  const bool v3 = blob.size() >= 5 && blob.compare(0, 4, "SMSY") == 0 &&
+                  blob[4] == 3;
+  if (!v3) {
+    SMETER_CHECK(!folded.ok());
+    if (series.ok()) SMETER_CHECK(folded.code() == StatusCode::kDataLoss);
+    return;
+  }
+  if (!series.ok()) {
+    SMETER_CHECK(!folded.ok());
+    SMETER_CHECK(folded.code() == series.status().code());
+    return;
+  }
+  if (level > series->level()) {
+    SMETER_CHECK(folded.code() == StatusCode::kInvalidArgument);
+    return;
+  }
+  SMETER_CHECK_OK(folded);
+  const SymbolicSeries slice = series->Slice(range);
+  SMETER_CHECK_EQ(counts.windows, slice.size());
+  SMETER_CHECK_EQ(counts.gaps, slice.GapCount());
+  std::vector<uint64_t> expect(size_t{1} << level, 0);
+  for (const SymbolicSample& sample : slice) {
+    if (sample.symbol.is_gap()) continue;
+    Result<Symbol> coarse = sample.symbol.Coarsen(level);
+    SMETER_CHECK(coarse.ok());
+    ++expect[coarse->index()];
+  }
+  SMETER_CHECK(counts.histogram == expect);
+}
+
 // Raw bytes through the wire-format parser; a successful parse must
 // re-pack to a blob that parses to the same series.
 void FuzzUnpack(const std::string& blob) {
+  // The fold over the whole timeline and over its non-negative half, at
+  // every level.
+  for (int level = 1; level <= kMaxSymbolLevel; ++level) {
+    CheckFoldMatchesUnpack(blob, {INT64_MIN, INT64_MAX}, level);
+    CheckFoldMatchesUnpack(blob, {0, INT64_MAX}, level);
+  }
   Result<SymbolicSeries> series = UnpackSymbolicSeries(blob);
   if (!series.ok()) return;
   Result<std::string> repacked = PackSymbolicSeries(series.value());
@@ -267,6 +313,18 @@ void FuzzSalvageOracle(FuzzInput& in) {
         0, static_cast<size_t>(
                in.TakeIntInRange(0, static_cast<int>(damaged.size()))));
   }
+  // The fold, on the clean and the damaged blob, over a fuzz-chosen
+  // window (possibly ragged, possibly outside the series) and level.
+  const int span = static_cast<int>(n) * 900;
+  const Timestamp begin =
+      series[0].timestamp +
+      static_cast<Timestamp>(in.TakeIntInRange(-2 * 900, span + 2 * 900));
+  const TimeRange window = {
+      begin,
+      begin + static_cast<Timestamp>(in.TakeIntInRange(0, span + 4 * 900))};
+  const int fold_level = in.TakeIntInRange(1, kMaxSymbolLevel);
+  CheckFoldMatchesUnpack(blob, window, fold_level);
+  CheckFoldMatchesUnpack(damaged, window, fold_level);
   if (damaged == blob) return;
 
   // Strict parse: accepting modified bytes is only legal if they decode to

@@ -1315,15 +1315,19 @@ std::string UsageText() {
       "               [--partition-seconds 86400] [--max-block-slots 4096]\n"
       "               build a time-partitioned query store from a v3 fleet\n"
       "               archive (encode-fleet's or a drained ingestd's): one\n"
-      "               p<id>/ directory per partition with per-meter .seg\n"
-      "               segment files, a rollup.tab of pre-computed per-meter\n"
-      "               histograms, a crc-checked store.index, and the hot\n"
-      "               current.tab of last-known symbols. Deterministic:\n"
-      "               rebuilding over the same archive is byte-identical.\n"
+      "               p<id>/ directory per partition holding a\n"
+      "               segments.pack (every meter's v3 segment behind one\n"
+      "               crc-checked directory, written once) and a rollup.tab\n"
+      "               of pre-computed per-meter histograms, a crc-checked\n"
+      "               store.index, and the hot current.tab of last-known\n"
+      "               symbols. Deterministic: rebuilding over the same\n"
+      "               archive is byte-identical. A store left by the\n"
+      "               older per-meter .seg layout is refused by queryd;\n"
+      "               rerunning store-build writes its packs\n"
       "  store-rollup --store DIR\n"
-      "               rebuild every partition's rollup.tab from its segment\n"
-      "               files (after fsck flags stale rollups, or a killed\n"
-      "               build); converges to the store-build output\n"
+      "               rebuild every partition's rollup.tab from its\n"
+      "               segments.pack (after fsck flags stale rollups, or a\n"
+      "               killed build); converges to the store-build output\n"
       "  store-retain --store DIR --cutoff TS\n"
       "               drop whole partitions whose window ends at or before\n"
       "               the cutoff timestamp (retention = unlink, no rewrite)\n"
