@@ -10,10 +10,10 @@
 //     items_per_second counts symbols delivered.
 //   BM_StoreAggregate/meters:N/edges:E -- fleet histogram over the window.
 //     edges:0 is partition-aligned, so every partition is served from
-//     rollup rows alone (no segment reads); edges:1 is a ragged window
-//     whose two edge partitions each read their segment pack once and
-//     fold every meter's blob. The gap between the two rows is what the
-//     rollup tables buy.
+//     its pack directory's summaries alone (no segment reads); edges:1 is
+//     a ragged window whose two edge partitions each read their segment
+//     pack once and fold every meter's blob. The gap between the two rows
+//     is what the directory summaries buy.
 //
 // End-to-end serving numbers (framing, the epoll loop, queryd beside live
 // uploads) come from perfbench's live_serve workload, not from here.
@@ -160,8 +160,9 @@ void BM_StoreAggregate(benchmark::State& state) {
   StoreFixture& fixture = StoreFixture::Get(
       static_cast<size_t>(state.range(0)));
   const bool ragged = state.range(1) != 0;
-  // Aligned: every partition is fully inside the window -> rollup rows
-  // only. Ragged: both edge partitions are partial -> pack folds.
+  // Aligned: every partition is fully inside the window -> directory
+  // summaries only. Ragged: both edge partitions are partial -> pack
+  // folds.
   const TimeRange range =
       ragged ? TimeRange{5 * kStepSeconds, kWindowEnd - 7 * kStepSeconds}
              : TimeRange{0, kWindowEnd};

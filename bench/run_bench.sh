@@ -19,11 +19,11 @@
 #                                        protocol state machine (the
 #                                        single-connection ingest ceiling)
 #   BM_StoreAggregate/meters:N/edges:0 vs edges:1
-#                                     -- fleet aggregate served from rollup
-#                                        rows alone (partition-aligned
-#                                        window) vs with edge-partition
-#                                        pack folds; the gap is what the
-#                                        pre-computed rollups buy
+#                                     -- fleet aggregate served from pack
+#                                        directory summaries alone
+#                                        (partition-aligned window) vs
+#                                        with edge-partition pack folds;
+#                                        the gap is what the summaries buy
 #
 # End-to-end numbers through the daemons (ingestd uploads, queryd
 # point/range/aggregate latency) come from perfbench/run.py, not from

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <filesystem>
@@ -70,38 +71,6 @@ std::optional<int64_t> JsonIntField(const std::string& record,
   return *parsed;
 }
 
-// The bracketed uint64 list of a histogram field, e.g. "h":[1,0,3].
-std::optional<std::vector<uint64_t>> JsonUintListField(
-    const std::string& record, const std::string& key) {
-  const std::string marker = "\"" + key + "\":[";
-  size_t pos = record.find(marker);
-  if (pos == std::string::npos) return std::nullopt;
-  pos += marker.size();
-  std::vector<uint64_t> values;
-  std::string digits;
-  for (; pos < record.size(); ++pos) {
-    const char c = record[pos];
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      digits.push_back(c);
-      continue;
-    }
-    if (c == ',' || c == ']') {
-      if (!digits.empty()) {
-        Result<int64_t> parsed = ParseInt(digits);
-        if (!parsed.ok() || *parsed < 0) return std::nullopt;
-        values.push_back(static_cast<uint64_t>(*parsed));
-        digits.clear();
-      } else if (c == ',') {
-        return std::nullopt;  // ",," or "[," — malformed
-      }
-      if (c == ']') return values;
-      continue;
-    }
-    return std::nullopt;  // anything else inside the list is malformed
-  }
-  return std::nullopt;  // unterminated list
-}
-
 // The store-index header record, first in store.index.
 std::string IndexHeaderRecord(int64_t partition_seconds) {
   return "{\"format\":1,\"psec\":" + std::to_string(partition_seconds) + "}";
@@ -145,18 +114,26 @@ Status EnsureDir(const std::string& dir) {
 
 // --- segment pack ----------------------------------------------------------
 //
-//   magic "SMPK" | u32le directory bytes | directory | u32le crc32c of all
+//   magic "SMP2" | u32le directory bytes | directory | u32le crc32c of all
 //   the bytes before it | the v3 blobs back to back, in directory order
 //
 // The directory is a LEB128 entry count, then per entry a u8 meter-name
-// length, the name, and the LEB128 blob length; names strictly ascend.
-// Blob offsets are the prefix sums of the lengths after the CRC, and the
-// lengths fill the file exactly. Blobs carry their own header and block
-// CRCs, so the pack adds no per-record checksum.
+// length, the name, the LEB128 blob length, and the segment's summary:
+// LEB128 native level, windows, gaps, then 2^level LEB128 value-slot
+// counts. Names strictly ascend. Blob offsets are the prefix sums of the
+// lengths after the CRC, and the lengths fill the file exactly. Blobs carry
+// their own header and block CRCs, so the pack adds no per-record checksum.
 
-constexpr char kPackMagic[4] = {'S', 'M', 'P', 'K'};
+constexpr char kPackMagic[4] = {'S', 'M', 'P', '2'};
+// The packs that preceded directory summaries (aggregates then read a
+// per-partition table of JSON rows beside the pack).
+constexpr char kOlderPackMagic[4] = {'S', 'M', 'P', 'K'};
 constexpr size_t kPackPrefixBytes = sizeof(kPackMagic) + 4;
 constexpr size_t kPackCrcBytes = 4;
+// The smallest directory entry: name length, a one-byte name, blob length,
+// level, windows, gaps and two histogram counts, one byte each.
+constexpr size_t kMinPackEntryBytes = 8;
+constexpr TimeRange kAllTime = {INT64_MIN, INT64_MAX};
 
 void AppendU32Le(std::string& out, uint32_t value) {
   for (int i = 0; i < 4; ++i) {
@@ -199,13 +176,43 @@ bool ReadLeb128(std::string_view bytes, size_t end, size_t* pos,
   return false;
 }
 
+// Reads a summary's `buckets` value-slot counts from bytes[*pos, end) and
+// checks that they account for exactly `values` slots. The common case,
+// every count below 128, is one byte per bucket and is summed without
+// decoding.
+bool ReadHistogram(std::string_view bytes, size_t end, size_t buckets,
+                   uint64_t values, size_t* pos) {
+  if (end - *pos >= buckets) {
+    uint64_t sum = 0;
+    uint8_t high_bits = 0;
+    for (char c : bytes.substr(*pos, buckets)) {
+      sum += static_cast<uint8_t>(c);
+      high_bits |= static_cast<uint8_t>(c);
+    }
+    if ((high_bits & 0x80u) == 0) {
+      *pos += buckets;
+      return sum == values;
+    }
+  }
+  for (size_t bucket = 0; bucket < buckets; ++bucket) {
+    uint64_t count = 0;
+    if (!ReadLeb128(bytes, end, pos, &count) || count > values) return false;
+    values -= count;
+  }
+  return values == 0;
+}
+
 // Bytes from the start of a pack to the end of its directory CRC, read
 // from the fixed prefix; the pack's blobs start there.
 Result<uint64_t> PackHeadBytes(std::string_view head) {
   if (head.size() < kPackPrefixBytes) {
     return DataLossError("pack shorter than its header");
   }
-  if (std::string_view(head.data(), sizeof(kPackMagic)) !=
+  if (IsOlderSegmentPack(head)) {
+    return DataLossError(
+        "pack predates directory summaries; rebuild with store-build");
+  }
+  if (head.substr(0, sizeof(kPackMagic)) !=
       std::string_view(kPackMagic, sizeof(kPackMagic))) {
     return DataLossError("bad pack magic");
   }
@@ -260,25 +267,10 @@ Status PreadAppend(int fd, uint64_t offset, uint64_t size,
 }
 
 // The slot cadence a packed segment would record: the slice-local step, or
-// 0 for a single-slot segment (matching the codec header convention, so
-// rollups rebuilt from unpacked segments are bit-identical).
+// 0 for a single-slot segment (matching the codec header convention).
 int64_t SliceStep(const SymbolicSeries& slice) {
   if (slice.size() < 2) return 0;
   return slice[1].timestamp - slice[0].timestamp;
-}
-
-RollupRow RollupFromSlice(const std::string& meter,
-                          const SymbolicSeries& slice) {
-  RollupRow row;
-  row.meter = meter;
-  row.level = slice.level();
-  row.start = slice.empty() ? 0 : slice[0].timestamp;
-  row.step = SliceStep(slice);
-  row.windows = slice.size();
-  row.gaps = slice.GapCount();
-  std::vector<size_t> hist = slice.Histogram();
-  row.histogram.assign(hist.begin(), hist.end());
-  return row;
 }
 
 // Lists the meters of an archive directory: every *.symbols stem, sorted,
@@ -310,62 +302,66 @@ Result<std::vector<std::string>> ListArchiveMeters(
   return meters;
 }
 
-// Lists the partition ids present on disk (p<id> directories), sorted.
-Result<std::vector<int64_t>> ListPartitionDirs(const std::string& store_dir) {
-  std::error_code error;
-  if (!fs::is_directory(store_dir, error) || error) {
-    return NotFoundError("not a directory: " + store_dir);
+// Merges the sorted, duplicate-free `run` into the sorted, duplicate-free
+// `names`. Names already present (the common case: the same fleet in every
+// partition) are only compared; new ones are copied in. `scratch` is
+// reused storage.
+void MergeNames(const std::vector<std::string_view>& run,
+                std::vector<std::string>* names,
+                std::vector<std::string>* scratch) {
+  if (std::includes(names->begin(), names->end(), run.begin(), run.end())) {
+    return;
   }
-  std::vector<int64_t> ids;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(store_dir, error)) {
-    if (!entry.is_directory()) continue;
-    int64_t id = 0;
-    if (IsPartitionDirName(entry.path().filename().string(), &id)) {
-      ids.push_back(id);
+  scratch->clear();
+  scratch->reserve(names->size() + run.size());
+  auto name = names->begin();
+  for (std::string_view next : run) {
+    while (name != names->end() && *name < next) {
+      scratch->push_back(std::move(*name++));
+    }
+    if (name != names->end() && *name == next) {
+      scratch->push_back(std::move(*name++));
+    } else {
+      scratch->emplace_back(next);
     }
   }
-  if (error) {
-    return InternalError("cannot walk " + store_dir + ": " + error.message());
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-// Builds rollup.tab bytes from rows (sorted by meter for determinism).
-std::string BuildRollupLog(std::vector<RollupRow> rows) {
-  std::sort(rows.begin(), rows.end(),
-            [](const RollupRow& a, const RollupRow& b) {
-              return a.meter < b.meter;
-            });
-  std::vector<std::string> records;
-  records.reserve(rows.size());
-  for (const RollupRow& row : rows) {
-    records.push_back(RollupRowRecord(row));
-  }
-  return io::BuildAppendLog(records);
+  std::move(name, names->end(), std::back_inserter(*scratch));
+  names->swap(*scratch);
 }
 
 }  // namespace
 
-std::string BuildSegmentPack(
-    const std::vector<std::pair<std::string, std::string>>& segments) {
+std::string BuildSegmentPack(const std::vector<PackSegment>& segments) {
   std::string directory;
   AppendLeb128(directory, segments.size());
   for (size_t i = 0; i < segments.size(); ++i) {
-    const std::string& meter = segments[i].first;
-    SMETER_CHECK(!meter.empty() && meter.size() <= kMaxPackMeterName);
-    SMETER_CHECK(i == 0 || segments[i - 1].first < meter);
-    directory.push_back(static_cast<char>(meter.size()));
-    directory += meter;
-    AppendLeb128(directory, segments[i].second.size());
+    const PackSegment& segment = segments[i];
+    SMETER_CHECK(!segment.meter.empty() &&
+                 segment.meter.size() <= kMaxPackMeterName);
+    SMETER_CHECK(i == 0 || segments[i - 1].meter < segment.meter);
+    directory.push_back(static_cast<char>(segment.meter.size()));
+    directory += segment.meter;
+    AppendLeb128(directory, segment.blob.size());
+    const SlotCounts& summary = segment.summary;
+    const size_t buckets = summary.histogram.size();
+    SMETER_CHECK(buckets >= 2 && buckets <= (size_t{1} << kMaxSymbolLevel) &&
+                 std::has_single_bit(buckets));
+    AppendLeb128(directory, static_cast<uint64_t>(std::countr_zero(buckets)));
+    AppendLeb128(directory, summary.windows);
+    AppendLeb128(directory, summary.gaps);
+    uint64_t total = summary.gaps;
+    for (uint64_t count : summary.histogram) {
+      AppendLeb128(directory, count);
+      total += count;
+    }
+    SMETER_CHECK_EQ(total, summary.windows);
   }
   SMETER_CHECK_LE(directory.size(), size_t{UINT32_MAX});
   std::string out(kPackMagic, sizeof(kPackMagic));
   AppendU32Le(out, static_cast<uint32_t>(directory.size()));
   out += directory;
   AppendU32Le(out, io::Crc32c(out));
-  for (const auto& segment : segments) out += segment.second;
+  for (const PackSegment& segment : segments) out += segment.blob;
   return out;
 }
 
@@ -382,10 +378,10 @@ Result<std::vector<PackEntry>> ParseSegmentPack(std::string_view head,
   }
   size_t pos = kPackPrefixBytes;
   uint64_t count = 0;
-  // Every entry takes at least two bytes, so a count beyond half the
-  // directory is damage, caught before anything is allocated from it.
+  // A count beyond what the directory could hold at the smallest entry
+  // size is damage, caught before anything is allocated from it.
   if (!ReadLeb128(head, crc_at, &pos, &count) ||
-      count > (crc_at - kPackPrefixBytes) / 2) {
+      count > (crc_at - kPackPrefixBytes) / kMinPackEntryBytes) {
     return DataLossError("malformed pack entry count");
   }
   std::vector<PackEntry> entries;
@@ -408,6 +404,23 @@ Result<std::vector<PackEntry>> ParseSegmentPack(std::string_view head,
     if (!entries.empty() && entries.back().meter >= entry.meter) {
       return DataLossError("pack directory is not sorted by meter");
     }
+    uint64_t level = 0;
+    if (!ReadLeb128(head, crc_at, &pos, &level) || level < 1 ||
+        level > kMaxSymbolLevel ||
+        !ReadLeb128(head, crc_at, &pos, &entry.windows) ||
+        !ReadLeb128(head, crc_at, &pos, &entry.gaps) ||
+        entry.gaps > entry.windows) {
+      return DataLossError("malformed summary in pack entry " +
+                           std::to_string(i));
+    }
+    entry.level = static_cast<int>(level);
+    const size_t histogram_at = pos;
+    if (!ReadHistogram(head, crc_at, size_t{1} << level,
+                       entry.windows - entry.gaps, &pos)) {
+      return DataLossError("summary of pack entry " + std::to_string(i) +
+                           " does not add up");
+    }
+    entry.histogram = head.substr(histogram_at, pos - histogram_at);
     entry.offset = offset;
     offset += entry.size;
     entries.push_back(entry);
@@ -419,6 +432,52 @@ Result<std::vector<PackEntry>> ParseSegmentPack(std::string_view head,
     return DataLossError("pack has bytes after its last segment");
   }
   return entries;
+}
+
+bool IsOlderSegmentPack(std::string_view head) {
+  return head.substr(0, sizeof(kOlderPackMagic)) ==
+         std::string_view(kOlderPackMagic, sizeof(kOlderPackMagic));
+}
+
+void AddPackSummary(const PackEntry& entry, int level, SlotCounts* counts) {
+  SMETER_CHECK(level >= 1 && level <= entry.level);
+  SMETER_CHECK_EQ(counts->histogram.size(), size_t{1} << level);
+  counts->windows += entry.windows;
+  counts->gaps += entry.gaps;
+  // Each level-`level` bucket sums a run of `fold` native buckets, added up
+  // in a register before the one store.
+  const size_t fold = size_t{1} << (entry.level - level);
+  const auto* byte =
+      reinterpret_cast<const unsigned char*>(entry.histogram.data());
+  if (entry.histogram.size() == fold * counts->histogram.size()) {
+    // One byte per native bucket: every count is below 128.
+    for (uint64_t& bucket : counts->histogram) {
+      uint64_t sum = 0;
+      for (size_t i = 0; i < fold; ++i) sum += byte[i];
+      byte += fold;
+      bucket += sum;
+    }
+    return;
+  }
+  // ParseSegmentPack checked that the view holds exactly 2^entry.level
+  // well-formed LEB128 values, so they decode without bounds checks.
+  for (uint64_t& bucket : counts->histogram) {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < fold; ++i) {
+      uint64_t value = 0;
+      int bits = 0;
+      unsigned char next = 0;
+      do {
+        next = *byte++;
+        value |= uint64_t{next & 0x7fu} << bits;
+        bits += 7;
+      } while ((next & 0x80u) != 0);
+      sum += value;
+    }
+    bucket += sum;
+  }
+  SMETER_CHECK(byte == reinterpret_cast<const unsigned char*>(
+                           entry.histogram.data() + entry.histogram.size()));
 }
 
 bool IsPartitionDirName(const std::string& name, int64_t* id_out) {
@@ -456,49 +515,6 @@ std::vector<uint64_t> FoldHistogram(const std::vector<uint64_t>& hist,
     folded[i >> shift] += hist[i];
   }
   return folded;
-}
-
-std::string RollupRowRecord(const RollupRow& row) {
-  std::string out = "{\"meter\":\"" + JsonEscape(row.meter) +
-                    "\",\"level\":" + std::to_string(row.level) +
-                    ",\"start\":" + std::to_string(row.start) +
-                    ",\"step\":" + std::to_string(row.step) +
-                    ",\"windows\":" + std::to_string(row.windows) +
-                    ",\"gaps\":" + std::to_string(row.gaps) + ",\"hist\":[";
-  for (size_t i = 0; i < row.histogram.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += std::to_string(row.histogram[i]);
-  }
-  out += "]}";
-  return out;
-}
-
-std::optional<RollupRow> ParseRollupRow(const std::string& record) {
-  std::optional<std::string> meter = JsonStringField(record, "meter");
-  std::optional<int64_t> level = JsonIntField(record, "level");
-  std::optional<int64_t> start = JsonIntField(record, "start");
-  std::optional<int64_t> step = JsonIntField(record, "step");
-  std::optional<int64_t> windows = JsonIntField(record, "windows");
-  std::optional<int64_t> gaps = JsonIntField(record, "gaps");
-  std::optional<std::vector<uint64_t>> hist =
-      JsonUintListField(record, "hist");
-  if (!meter || !level || !start || !step || !windows || !gaps || !hist) {
-    return std::nullopt;
-  }
-  if (*level < 1 || *level > kMaxSymbolLevel ||
-      hist->size() != (size_t{1} << *level) || *windows < 0 || *gaps < 0 ||
-      *gaps > *windows) {
-    return std::nullopt;
-  }
-  RollupRow row;
-  row.meter = std::move(*meter);
-  row.level = static_cast<int>(*level);
-  row.start = *start;
-  row.step = *step;
-  row.windows = static_cast<uint64_t>(*windows);
-  row.gaps = static_cast<uint64_t>(*gaps);
-  row.histogram = std::move(*hist);
-  return row;
 }
 
 std::string CurrentRecordJson(const CurrentRecord& record) {
@@ -579,10 +595,9 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
   SMETER_RETURN_IF_ERROR(EnsureDir(store_dir));
 
   StoreBuildReport report;
-  // Per-partition accumulation: (meter, v3 blob) pairs for the pack, in
-  // meter order because the meters are; rollup rows; index stats.
-  std::map<int64_t, std::vector<std::pair<std::string, std::string>>> packs;
-  std::map<int64_t, std::vector<RollupRow>> rollups;
+  // Per-partition accumulation: the pack's segments, in meter order
+  // because the meters are; index stats.
+  std::map<int64_t, std::vector<PackSegment>> packs;
   std::map<int64_t, PartitionInfo> index;
   std::vector<CurrentRecord> current;
 
@@ -616,16 +631,22 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
       Result<std::string> packed =
           PackSymbolicSeriesFramed(slice, options.max_block_slots);
       if (!packed.ok()) return packed.status();
+      PackSegment segment;
+      segment.meter = meter;
+      segment.blob = std::move(*packed);
+      // The summary is the same fold that serves edge partitions and that
+      // fsck checks it against.
+      SMETER_RETURN_IF_ERROR(
+          FoldFramedSeries(segment.blob, kAllTime, 0, &segment.summary));
       ++report.segments_written;
-      report.segment_bytes += packed->size();
-      rollups[id].push_back(RollupFromSlice(meter, slice));
+      report.segment_bytes += segment.blob.size();
       PartitionInfo& info = index[id];
       info.id = id;
       info.start = range.begin;
       info.end = range.end;
       ++info.meters;
-      info.segment_bytes += packed->size();
-      packs[id].emplace_back(meter, std::move(*packed));
+      info.segment_bytes += segment.blob.size();
+      packs[id].push_back(std::move(segment));
     }
     CurrentRecord latest;
     latest.meter = meter;
@@ -638,8 +659,6 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
     current.push_back(std::move(latest));
   }
 
-  // Every pack is written before any rollup, so a rollup is never older
-  // than its partition's pack (fsck's staleness rule).
   for (const auto& [id, segments] : packs) {
     const std::string part_dir =
         store_dir + "/" + kPartitionDirPrefix + std::to_string(id);
@@ -647,13 +666,6 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
     SMETER_FAULT_POINT("store.segment.write");
     SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
         part_dir + "/" + kSegmentPackFile, BuildSegmentPack(segments)));
-  }
-  for (auto& [id, rows] : rollups) {
-    const std::string part_dir =
-        store_dir + "/" + kPartitionDirPrefix + std::to_string(id);
-    SMETER_FAULT_POINT("store.rollup.write");
-    SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
-        part_dir + "/" + kRollupTableFile, BuildRollupLog(std::move(rows))));
   }
   report.partitions = index.size();
 
@@ -679,58 +691,6 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
   SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
       store_dir + "/" + kCurrentLogFile, io::BuildAppendLog({})));
   return report;
-}
-
-Result<size_t> RebuildRollups(const std::string& store_dir) {
-  Result<std::vector<int64_t>> ids = ListPartitionDirs(store_dir);
-  if (!ids.ok()) return ids.status();
-  size_t rebuilt = 0;
-  for (int64_t id : *ids) {
-    const std::string part_dir =
-        store_dir + "/" + kPartitionDirPrefix + std::to_string(id);
-    const std::string pack_path = part_dir + "/" + kSegmentPackFile;
-    Result<std::string> pack = io::ReadFileToString(pack_path);
-    if (!pack.ok()) {
-      return DataLossError("partition " + std::to_string(id) + " has no " +
-                           kSegmentPackFile + "; rebuild with store-build");
-    }
-    Result<std::vector<PackEntry>> entries =
-        ParseSegmentPack(*pack, pack->size());
-    if (!entries.ok()) {
-      return DataLossError(pack_path + ": " + entries.status().message());
-    }
-    std::vector<RollupRow> rows;
-    for (const PackEntry& entry : *entries) {
-      Result<SymbolicSeries> slice = UnpackSymbolicSeries(
-          pack->substr(static_cast<size_t>(entry.offset),
-                       static_cast<size_t>(entry.size)));
-      if (!slice.ok()) {
-        return DataLossError("segment " + pack_path + ":" +
-                             std::string(entry.meter) + ": " +
-                             slice.status().message());
-      }
-      rows.push_back(RollupFromSlice(std::string(entry.meter), *slice));
-    }
-    SMETER_FAULT_POINT("store.rollup.write");
-    const std::string rollup_path = part_dir + "/" + kRollupTableFile;
-    SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
-        rollup_path, BuildRollupLog(std::move(rows))));
-    // Freshness is judged by mtime (fsck's stale_rollup check): a pack
-    // carrying a future timestamp (clock skew, restored backup) must not
-    // keep a just-rebuilt rollup permanently "stale".
-    std::error_code time_error;
-    const fs::file_time_type pack_mtime =
-        fs::last_write_time(pack_path, time_error);
-    if (!time_error) {
-      const fs::file_time_type rollup_mtime =
-          fs::last_write_time(rollup_path, time_error);
-      if (!time_error && pack_mtime > rollup_mtime) {
-        fs::last_write_time(rollup_path, pack_mtime, time_error);
-      }
-    }
-    ++rebuilt;
-  }
-  return rebuilt;
 }
 
 Result<size_t> DropPartitionsBefore(const std::string& store_dir,
@@ -812,10 +772,22 @@ Result<std::unique_ptr<ArchiveStore>> ArchiveStore::Open(
         store_dir + "/" + kPartitionDirPrefix + std::to_string(info->id);
     std::error_code error;
     if (!fs::is_directory(part_dir, error)) continue;
-    if (!fs::exists(part_dir + "/" + kSegmentPackFile, error)) {
+    const std::string pack_path = part_dir + "/" + kSegmentPackFile;
+    ScopedFd fd(::open(pack_path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd.get() < 0) {
       return DataLossError("partition " + std::to_string(info->id) +
                            " has no " + kSegmentPackFile +
                            "; rebuild with store-build");
+    }
+    // A pack an older store-build wrote is refused here, not misread by
+    // the first query; other damage is left to the query and to fsck.
+    std::array<char, sizeof(kOlderPackMagic)> magic{};
+    const ssize_t got = ::pread(fd.get(), magic.data(), magic.size(), 0);
+    if (got > 0 && IsOlderSegmentPack(std::string_view(
+                       magic.data(), static_cast<size_t>(got)))) {
+      return DataLossError("partition " + std::to_string(info->id) +
+                           " has a pack that predates directory summaries; "
+                           "rebuild with store-build");
     }
     partitions.push_back(*info);
   }
@@ -970,40 +942,6 @@ Result<SymbolicSeries> ArchiveStore::ReadSegment(int64_t partition_id,
   return series;
 }
 
-Result<const std::vector<RollupRow>*> ArchiveStore::Rollups(
-    int64_t partition_id) {
-  auto cached = rollup_cache_.find(partition_id);
-  if (cached != rollup_cache_.end()) return &cached->second;
-  Result<io::AppendLogContents> log = io::ReadAppendLog(
-      PartitionDir(partition_id) + "/" + kRollupTableFile);
-  if (!log.ok()) return log.status();
-  if (!log->clean()) {
-    return DataLossError("rollup table of partition " +
-                         std::to_string(partition_id) +
-                         " is damaged; run fsck");
-  }
-  std::vector<RollupRow> rows;
-  for (const std::string& record : log->records) {
-    std::optional<RollupRow> row = ParseRollupRow(record);
-    if (!row) {
-      return DataLossError("rollup row of partition " +
-                           std::to_string(partition_id) + " is malformed");
-    }
-    // Aggregate merges rows with each other and with the pack directory,
-    // which needs them in strict meter order, as BuildRollupLog writes them.
-    if (!rows.empty() && rows.back().meter >= row->meter) {
-      return DataLossError("rollup rows of partition " +
-                           std::to_string(partition_id) +
-                           " are not sorted by meter");
-    }
-    rows.push_back(std::move(*row));
-  }
-  auto [it, inserted] =
-      rollup_cache_.emplace(partition_id, std::move(rows));
-  (void)inserted;
-  return &it->second;
-}
-
 Result<RangeScanResult> ArchiveStore::Scan(const std::string& meter,
                                            TimeRange range, int level,
                                            size_t max_symbols) {
@@ -1096,93 +1034,94 @@ Result<FleetAggregate> ArchiveStore::Aggregate(TimeRange range, int level) {
   SlotCounts counts;
   counts.histogram.assign(size_t{1} << level, 0);
   // Distinct meter names, kept sorted and unique by merging each
-  // partition's (sorted) run in; the views point into the cached rollup
-  // rows, which outlive this call.
-  std::vector<std::string_view> meters;
-  std::vector<std::string_view> coarser;
+  // partition's (sorted) run in, as owned copies.
+  std::vector<std::string> meters;
+  std::vector<std::string> coarser;
   std::vector<std::string_view> run_meters;
   std::vector<std::string_view> run_coarser;
-  std::vector<std::string_view> merged;
-  auto merge_run = [&merged](std::vector<std::string_view>& into,
-                             const std::vector<std::string_view>& run) {
-    merged.clear();
-    std::set_union(into.begin(), into.end(), run.begin(), run.end(),
-                   std::back_inserter(merged));
-    into.swap(merged);
-  };
+  std::vector<std::string> merged;
+  // An edge partition's blobs, reused across partitions.
+  std::string blobs;
   for (const PartitionInfo& partition : partitions_) {
     if (partition.end <= range.begin || partition.start >= range.end) {
       continue;
     }
     const bool covered =
         partition.start >= range.begin && partition.end <= range.end;
-    Result<const std::vector<RollupRow>*> rollups = Rollups(partition.id);
-    if (!rollups.ok()) return rollups.status();
+    const std::string path = PackPath(partition.id);
+    ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd.get() < 0) {
+      if (errno == ENOENT) continue;  // dropped by retention since Open
+      return ErrnoError("cannot open " + path);
+    }
+    struct stat st {};
+    if (::fstat(fd.get(), &st) != 0) return ErrnoError("cannot stat " + path);
+    Result<const PackDirectory*> directory =
+        PackDirectoryFor(partition.id, fd.get(), SignatureOf(st), path);
+    if (!directory.ok()) {
+      return DataLossError("pack of partition " +
+                           std::to_string(partition.id) + ": " +
+                           directory.status().message());
+    }
+    const std::vector<PackEntry>& entries = (*directory)->entries;
     run_meters.clear();
     run_coarser.clear();
     if (covered) {
+      // Served from the directory's summaries alone.
       ++aggregate.rollup_partitions;
-      for (const RollupRow& row : **rollups) {
-        if (row.level < level) {
-          run_coarser.push_back(row.meter);
+      for (const PackEntry& entry : entries) {
+        if (entry.level < level) {
+          run_coarser.push_back(entry.meter);
           continue;
         }
-        run_meters.push_back(row.meter);
-        counts.windows += row.windows;
-        counts.gaps += row.gaps;
-        const std::vector<uint64_t> folded =
-            FoldHistogram(row.histogram, row.level, level);
-        for (size_t i = 0; i < folded.size(); ++i) {
-          counts.histogram[i] += folded[i];
-        }
+        if (entry.windows > 0) run_meters.push_back(entry.meter);
+        AddPackSummary(entry, level, &counts);
       }
     } else {
       // Edge partition: only part of it is inside the window, so the
-      // rollup row over-counts. Read the pack once and fold each meter's
-      // blob, clipped to the window, walking the rows and the directory
-      // together (both sorted by meter).
+      // summaries over-count. Read every blob in one pread and fold each,
+      // clipped to the window.
       ++aggregate.scanned_partitions;
-      Result<std::string> pack = io::ReadFileToString(PackPath(partition.id));
-      if (!pack.ok()) return pack.status();
-      Result<std::vector<PackEntry>> entries =
-          ParseSegmentPack(*pack, pack->size());
-      if (!entries.ok()) {
-        return DataLossError("pack of partition " +
-                             std::to_string(partition.id) + ": " +
-                             entries.status().message());
-      }
-      auto entry = entries->begin();
-      for (const RollupRow& row : **rollups) {
-        if (row.level < level) {
-          run_coarser.push_back(row.meter);
+      const uint64_t first = entries.empty()
+                                 ? static_cast<uint64_t>(st.st_size)
+                                 : entries.front().offset;
+      blobs.clear();
+      SMETER_RETURN_IF_ERROR(PreadAppend(
+          fd.get(), first, static_cast<uint64_t>(st.st_size) - first, path,
+          &blobs));
+      for (const PackEntry& entry : entries) {
+        if (entry.level < level) {
+          run_coarser.push_back(entry.meter);
           continue;
         }
         SMETER_FAULT_POINT("store.segment.read");
-        while (entry != entries->end() && entry->meter < row.meter) ++entry;
-        if (entry == entries->end() || entry->meter != row.meter) continue;
         ++segments_read_;
         const uint64_t windows_before = counts.windows;
         Status folded = FoldFramedSeries(
-            std::string_view(*pack).substr(static_cast<size_t>(entry->offset),
-                                           static_cast<size_t>(entry->size)),
+            std::string_view(blobs).substr(
+                static_cast<size_t>(entry.offset - first),
+                static_cast<size_t>(entry.size)),
             range, level, &counts);
         if (!folded.ok()) {
           return DataLossError("segment p" + std::to_string(partition.id) +
-                               "/" + kSegmentPackFile + ":" + row.meter +
-                               ": " + folded.message());
+                               "/" + kSegmentPackFile + ":" +
+                               std::string(entry.meter) + ": " +
+                               folded.message());
         }
-        if (counts.windows > windows_before) run_meters.push_back(row.meter);
+        if (counts.windows > windows_before) run_meters.push_back(entry.meter);
       }
     }
-    merge_run(meters, run_meters);
-    merge_run(coarser, run_coarser);
+    // The run's views point into the directory slot, which a later
+    // partition may reuse; MergeNames copies what it keeps.
+    MergeNames(run_meters, &meters, &merged);
+    MergeNames(run_coarser, &coarser, &merged);
   }
   // A meter counts as coarser only if it contributed nowhere.
   aggregate.meters = meters.size();
   aggregate.meters_coarser = static_cast<uint64_t>(
       coarser.size() -
       static_cast<size_t>(std::count_if(
-          coarser.begin(), coarser.end(), [&meters](std::string_view m) {
+          coarser.begin(), coarser.end(), [&meters](const std::string& m) {
             return std::binary_search(meters.begin(), meters.end(), m);
           })));
   aggregate.windows = counts.windows;

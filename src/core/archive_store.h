@@ -10,14 +10,15 @@
 //   <store>/p<id>/segments.pack
 //                              every meter's slice of that time partition,
 //                              each re-packed as a v3 framed blob (every
-//                              byte checksummed), in one file: magic "SMPK",
+//                              byte checksummed), in one file: magic "SMP2",
 //                              u32 directory length, a directory sorted by
 //                              meter (LEB128 count; per entry u8 name
-//                              length, name, LEB128 blob length), a CRC32C
-//                              over all of that, then the blobs back to
-//                              back in directory order. One atomic write
-//                              per partition
-//   <store>/p<id>/rollup.tab   append log of per-meter JSON rollup rows
+//                              length, name, LEB128 blob length, then the
+//                              segment's summary: LEB128 native level,
+//                              windows, gaps and the 2^level value
+//                              histogram), a CRC32C over all of that, then
+//                              the blobs back to back in directory order.
+//                              One atomic write per partition
 //   <store>/current.tab        append log: compacted "latest symbol per
 //                              meter" table
 //   <store>/current.log        append log: incremental current-value
@@ -28,13 +29,14 @@
 // directories and rewriting the index — no per-record deletes, no
 // compaction.
 //
-// Rollups lean on the paper's hierarchy invariant (Section 4): a symbol at
-// level k is the k-bit prefix of the same window's symbol at any finer
-// level, and a GAP coarsens to a GAP. A rollup row therefore stores only
-// the native-level histogram; the histogram at every coarser level k is a
-// fold (bucket j at level L sums into bucket j >> (L-k)), bit-identical to
-// re-encoding the raw values at level k. No decode, no raw data, no
-// per-level storage.
+// Directory summaries lean on the paper's hierarchy invariant (Section 4):
+// a symbol at level k is the k-bit prefix of the same window's symbol at
+// any finer level, and a GAP coarsens to a GAP. A summary therefore stores
+// only the native-level histogram; the histogram at every coarser level k
+// is a fold (bucket j at level L sums into bucket j >> (L-k)),
+// bit-identical to re-encoding the raw values at level k. No decode, no
+// raw data, no per-level storage. A record and its summary sit under one
+// directory CRC and are written, and cut by fsck, together.
 //
 // Queries (ArchiveStore):
 //   Latest()    — hot current table, refreshed from current.log so a live
@@ -45,20 +47,20 @@
 //                 requested level, missing partitions gap-filled so the
 //                 cadence grid never silently skips time
 //   Aggregate() — fleet-wide histogram over a window: partitions fully
-//                 inside the window are served from rollup rows (one file
-//                 per partition, no segment reads); a partial edge
-//                 partition is one pack read, each meter's blob folded
-//                 straight into the histogram (FoldFramedSeries), clipped
-//                 to the window
+//                 inside the window are served from their pack directories
+//                 alone (no segment reads); a partial edge partition
+//                 reads its directory, then all its blobs in one pread,
+//                 each meter's blob folded straight into the histogram
+//                 (FoldFramedSeries), clipped to the window
 //
-// Fault seams: store.segment.write (one per pack), store.rollup.write,
-// store.index.write (builder), store.segment.read (query path, once per
-// segment), store.current.append (ingest-time current-table update). Each
-// is exercised by a test — tools/lint_invariants.py enforces that.
+// Fault seams: store.segment.write (one per pack), store.index.write
+// (builder), store.segment.read (query path, once per segment),
+// store.current.append (ingest-time current-table update). Each is
+// exercised by a test — tools/lint_invariants.py enforces that.
 //
-// A store of the per-meter .seg layout that preceded the packs is refused
-// at Open ("rebuild with store-build"); rerunning store-build writes its
-// packs.
+// A store of an older layout — per-meter .seg files, or "SMPK" packs
+// without directory summaries — is refused at Open ("rebuild with
+// store-build"); rerunning store-build writes current packs.
 //
 // Concurrency: ArchiveStore is single-threaded (the query daemon runs one
 // loop thread); CurrentTable::Update is mutex-guarded because ingest
@@ -80,6 +82,7 @@
 #include "common/io.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "core/codec.h"
 #include "core/symbolic_series.h"
 #include "core/time_series.h"
 
@@ -89,7 +92,6 @@ namespace smeter {
 inline constexpr char kStoreIndexFile[] = "store.index";
 inline constexpr char kCurrentTableFile[] = "current.tab";
 inline constexpr char kCurrentLogFile[] = "current.log";
-inline constexpr char kRollupTableFile[] = "rollup.tab";
 // Partition directory prefix: "p" + decimal partition id.
 inline constexpr char kPartitionDirPrefix[] = "p";
 // The one segment pack inside a partition directory.
@@ -123,46 +125,48 @@ struct PackEntry {
   std::string_view meter;  // points into the bytes the pack was parsed from
   uint64_t offset = 0;     // of the v3 blob, from the start of the pack
   uint64_t size = 0;       // blob bytes
+  // The segment's summary: every slot of the blob at its native level.
+  int level = 1;
+  uint64_t windows = 0;    // slots, GAPs included
+  uint64_t gaps = 0;       // GAP slots
+  // 2^level LEB128 value-slot counts; also a view into the parsed bytes.
+  std::string_view histogram;
 };
 
-// Serializes one partition pack from (meter, v3 blob) pairs. Contract
-// (checked): meters strictly ascending, 1..kMaxPackMeterName bytes each.
-std::string BuildSegmentPack(
-    const std::vector<std::pair<std::string, std::string>>& segments);
+// One segment to pack.
+struct PackSegment {
+  std::string meter;
+  std::string blob;  // v3 framed
+  // The blob's slots at its native level: what FoldFramedSeries counts
+  // over all time at level 0.
+  SlotCounts summary;
+};
+
+// Serializes one partition pack. Contract (checked): meters strictly
+// ascending, 1..kMaxPackMeterName bytes each; each summary's histogram
+// has 2^level buckets for a level in [1, kMaxSymbolLevel], and its counts
+// add up (histogram total + gaps == windows).
+std::string BuildSegmentPack(const std::vector<PackSegment>& segments);
 
 // Parses and checks a pack's directory. `head` holds at least the pack's
 // first bytes through the directory CRC (the whole pack is fine);
-// `file_size` is the pack's full size. kDataLoss on a bad magic, a torn
-// directory, a directory CRC mismatch, a malformed or unsorted entry, or
-// blob lengths that do not exactly fill the rest of the file. The blobs
-// themselves are not read; each carries its own v3 checksums.
+// `file_size` is the pack's full size. kDataLoss on a bad magic (for an
+// older pack format, naming store-build), a torn directory, a directory CRC
+// mismatch, a malformed or unsorted entry, a summary whose counts do not
+// add up, or blob lengths that do not exactly fill the rest of the file.
+// The blobs themselves are not read; each carries its own v3 checksums.
 Result<std::vector<PackEntry>> ParseSegmentPack(std::string_view head,
                                                 uint64_t file_size);
 
-// One per-meter, per-partition rollup row. Histogram is at the meter's
-// native level; coarser levels are FoldHistogram away.
-struct RollupRow {
-  std::string meter;
-  int level = 1;
-  Timestamp start = 0;      // first slot timestamp in the partition
-  int64_t step = 0;         // slot cadence (0 for a single-slot segment,
-                            // matching the packed header convention)
-  uint64_t windows = 0;     // total slots, gaps included
-  uint64_t gaps = 0;        // GAP slots
-  std::vector<uint64_t> histogram;  // size 2^level, value symbols only
+// True iff `head` opens with the magic of the packs that preceded
+// directory summaries: an intact store to rebuild with store-build, not
+// damage.
+bool IsOlderSegmentPack(std::string_view head);
 
-  friend bool operator==(const RollupRow& a, const RollupRow& b) {
-    return a.meter == b.meter && a.level == b.level && a.start == b.start &&
-           a.step == b.step && a.windows == b.windows && a.gaps == b.gaps &&
-           a.histogram == b.histogram;
-  }
-};
-
-// JSON (de)serialization of one rollup row; the record travels inside the
-// append-log framing. Deterministic field order, so rebuilt rollup tables
-// are byte-identical to incrementally built ones.
-std::string RollupRowRecord(const RollupRow& row);
-std::optional<RollupRow> ParseRollupRow(const std::string& record);
+// Adds `entry`'s whole summary to `counts` at `level` (1 <= level <=
+// entry.level; counts->histogram has 2^level buckets), folding each
+// native bucket into its level-`level` prefix in place.
+void AddPackSummary(const PackEntry& entry, int level, SlotCounts* counts);
 
 // One partition's index entry.
 struct PartitionInfo {
@@ -237,19 +241,15 @@ struct StoreBuildReport {
 
 // Builds (or deterministically rebuilds) a store from an archive
 // directory. Reads every <meter>.symbols under `archive_dir`, slices each
-// series into partitions, writes one segment pack per partition, then the
-// per-partition rollup tables, the index, and the compacted current table.
+// series into partitions, writes one segment pack per partition (each
+// segment summarized in the directory), then the index and the compacted
+// current table.
 // All writes are atomic and the output is a pure function of the archive
 // contents, so a build killed at any point converges to the identical
 // store when re-run.
 Result<StoreBuildReport> BuildArchiveStore(
     const std::string& archive_dir, const std::string& store_dir,
     const StoreBuildOptions& options = {});
-
-// Recomputes every partition's rollup.tab from its segment pack —
-// byte-identical to what BuildArchiveStore wrote (the convergence drill
-// CI verifies). Returns the number of rollup tables rewritten.
-Result<size_t> RebuildRollups(const std::string& store_dir);
 
 // Retention: removes every partition whose whole range ends at or before
 // `cutoff` and rewrites the index. Returns partitions dropped.
@@ -282,8 +282,9 @@ struct FleetAggregate {
   uint64_t windows = 0;         // total windows, gaps included
   uint64_t gaps = 0;
   std::vector<uint64_t> histogram;  // size 2^level
-  // Observability: how the aggregate was served.
-  uint32_t rollup_partitions = 0;   // served from rollup rows alone
+  // Observability: how the aggregate was served (partitions retention
+  // removed since Open are skipped and counted in neither).
+  uint32_t rollup_partitions = 0;   // served from pack directories alone
   uint32_t scanned_partitions = 0;  // edge partitions that needed segments
 };
 
@@ -307,10 +308,10 @@ struct ArchiveStoreOptions {
   std::string current_dir;
 };
 
-// Read-only view over a store directory. Partitions and rollups are the
-// static snapshot the last BuildArchiveStore produced; the current table
-// is re-read from current.log whenever the log grows, so point lookups
-// track a live ingest daemon.
+// Read-only view over a store directory. The partition list is the static
+// snapshot the index held at Open; the current table is re-read from
+// current.log whenever the log grows, so point lookups track a live
+// ingest daemon.
 class ArchiveStore {
  public:
   static Result<std::unique_ptr<ArchiveStore>> Open(
@@ -339,8 +340,10 @@ class ArchiveStore {
 
   // Fleet-wide aggregate over [range.begin, range.end) at `level` in
   // [1, kMaxSymbolLevel]. Partitions fully covered by the range are
-  // folded from rollup rows; an edge partition's pack is read once and
-  // each meter's blob folded, clipped to the range.
+  // folded from their pack directories' summaries; an edge partition's
+  // blobs are read in one pread and each folded, clipped to the range.
+  // A partition whose pack has vanished (retention since Open) is
+  // skipped, as Scan skips it.
   Result<FleetAggregate> Aggregate(TimeRange range, int level);
 
   // Number of distinct meters in the current table (after refresh);
@@ -356,8 +359,8 @@ class ArchiveStore {
                int64_t partition_seconds,
                std::vector<PartitionInfo> partitions);
 
-  // One pack directory Scan has read, valid while the pack keeps the
-  // signature it was read at.
+  // One pack directory Scan or Aggregate has read, valid while the pack
+  // keeps the signature it was read at.
   struct PackDirectory {
     int64_t partition_id = 0;
     FileSignature signature;
@@ -365,15 +368,16 @@ class ArchiveStore {
     std::vector<PackEntry> entries;  // views into `head`
     uint64_t last_used = 0;          // 0: empty slot
   };
-  // Directories of this many partitions at most stay parsed, enough for a
-  // week-long Scan over daily partitions.
-  static constexpr size_t kPackDirectorySlots = 8;
+  // Directories of this many partitions at most stay parsed: a ragged
+  // 7-day Aggregate (up to 9 daily partitions) and a 7-day Scan (up to 8)
+  // fit together. A slot holds the directory bytes plus sizeof(PackEntry)
+  // (72 B) per entry: at 500 level-4 meters ~31 B + 72 B per meter, about
+  // 52 KB, so the slots stay under ~0.9 MB.
+  static constexpr size_t kPackDirectorySlots = 9 + 8;
 
   // Re-reads current.tab + current.log when either file's (inode, size,
   // mtime) signature changed.
   Status RefreshCurrent();
-  // Loads (and caches) one partition's rollup rows.
-  Result<const std::vector<RollupRow>*> Rollups(int64_t partition_id);
   // The directory of the pack open as `fd`: from the slots when its
   // signature still matches, else read (prefix, then directory) and parsed
   // into the least recently used slot.
@@ -392,7 +396,6 @@ class ArchiveStore {
   const std::string current_dir_;
   int64_t partition_seconds_;
   std::vector<PartitionInfo> partitions_;  // sorted by id
-  std::map<int64_t, std::vector<RollupRow>> rollup_cache_;
   std::map<std::string, CurrentRecord> current_;
   // current.tab and current.log as of the last refresh.
   std::array<FileSignature, 2> current_seen_;

@@ -566,8 +566,9 @@ Result<SymbolicSeries> UnpackSymbolicSeries(const std::string& blob) {
 
 Status FoldFramedSeries(std::string_view blob, TimeRange range, int level,
                         SlotCounts* counts) {
-  SMETER_CHECK(level >= 1 && level <= kMaxSymbolLevel);
-  SMETER_CHECK_EQ(counts->histogram.size(), size_t{1} << level);
+  SMETER_CHECK(level >= 0 && level <= kMaxSymbolLevel);
+  SMETER_CHECK_EQ(counts->histogram.size(),
+                  level == 0 ? size_t{0} : size_t{1} << level);
   SMETER_RETURN_IF_ERROR(CheckMagic(blob));
   if (static_cast<uint8_t>(blob[4]) != kVersionFramed) {
     return DataLossError("not a v3 framed blob (version " +
@@ -576,6 +577,10 @@ Status FoldFramedSeries(std::string_view blob, TimeRange range, int level,
   }
   V3Header header;
   SMETER_RETURN_IF_ERROR(ParseV3Header(blob, &header));
+  if (level == 0) {
+    level = header.level;
+    counts->histogram.assign(size_t{1} << level, 0);
+  }
   // The level is judged after the blocks, so a damaged blob reports its
   // damage first, exactly as UnpackSymbolicSeries would.
   const bool level_ok = level <= header.level;

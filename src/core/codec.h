@@ -95,6 +95,11 @@ struct SlotCounts {
   // Value slots per symbol at the fold level (size 2^level): a native
   // symbol counts in bucket index >> (native - level), the prefix fold.
   std::vector<uint64_t> histogram;
+
+  friend bool operator==(const SlotCounts& a, const SlotCounts& b) {
+    return a.windows == b.windows && a.gaps == b.gaps &&
+           a.histogram == b.histogram;
+  }
 };
 
 // Adds the slots of the v3 `blob` whose timestamps fall in `range` to
@@ -103,8 +108,10 @@ struct SlotCounts {
 // CRC, each block CRC, block tiling, trailing bytes), with the same status
 // codes. A blob of another version is kDataLoss (store segments are always
 // v3); a `level` finer than the blob's native level is kInvalidArgument,
-// judged after the blocks. Contract (checked): 1 <= level <=
-// kMaxSymbolLevel and counts->histogram.size() == 2^level. On error
+// judged after the blocks. `level` 0 folds at the blob's native level
+// into an empty `counts`, sizing its histogram to 2^native (the store's
+// per-segment summary). Contract (checked): 0 <= level <= kMaxSymbolLevel,
+// and counts->histogram.size() == 2^level, or empty for level 0. On error
 // `counts` may hold part of the blob's tally.
 Status FoldFramedSeries(std::string_view blob, TimeRange range, int level,
                         SlotCounts* counts);

@@ -108,7 +108,7 @@ Result<FsckReport> FsckArchive(const std::string& dir,
   // that must not make a pure store directory demand a fleet manifest.
   size_t store_files = 0;
 
-  // Checks one append-log-framed store file (store.index, rollup.tab,
+  // Checks one append-log-framed store file (store.index,
   // current.tab/.log). Returns the parsed contents when the framing is
   // intact (torn tails included — their valid prefix is usable); damage is
   // reported as `<kind_prefix>_...` issues with truncate/quarantine
@@ -160,10 +160,7 @@ Result<FsckReport> FsckArchive(const std::string& dir,
   }
 
   // Partition directories: verify the pack's directory and every segment
-  // in it, then grade the rollup — parse-clean AND fresh. A rollup older
-  // than its pack (a killed store-build or a repaired pack) or covering a
-  // damaged segment serves stale aggregates, so it is flagged and, under
-  // --repair, removed for `store-rollup` to rebuild.
+  // in it, and hold each directory summary to the segment it describes.
   std::vector<std::pair<int64_t, std::string>> partition_dirs;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, error)) {
     if (!entry.is_directory()) continue;
@@ -177,138 +174,95 @@ Result<FsckReport> FsckArchive(const std::string& dir,
     const std::string pack_rel = pdir + "/" + kSegmentPackFile;
     const std::string pack_path = dir + "/" + pack_rel;
     std::error_code pack_error;
-    const bool has_pack = fs::exists(pack_path, pack_error);
-    bool partition_clean = true;
-    bool rollup_stale = false;
-    fs::file_time_type pack_mtime = fs::file_time_type::min();
-    if (!has_pack) {
+    if (!fs::exists(pack_path, pack_error)) {
       // A killed store-build, or a store of the older per-meter .seg
       // layout: the store refuses it until store-build runs again.
-      partition_clean = false;
       add_issue(pack_rel, "missing_pack",
                 "partition has no segment pack; rebuild with store-build");
-    } else {
-      ++report.files_checked;
-      ++store_files;
-      std::error_code time_error;
-      pack_mtime = fs::last_write_time(pack_path, time_error);
-      if (time_error) pack_mtime = fs::file_time_type::min();
-      Result<std::string> pack = io::ReadFileToString(pack_path);
-      Result<std::vector<PackEntry>> entries =
-          pack.ok() ? ParseSegmentPack(*pack, pack->size())
-                    : Result<std::vector<PackEntry>>(pack.status());
-      if (!entries.ok()) {
-        // Without a trusted directory no record can be located: the whole
-        // pack goes, and an empty one takes its place so the partition
-        // stays readable (its rollup is rebuilt empty).
-        partition_clean = false;
-        rollup_stale = true;
-        FsckIssue& issue =
-            add_issue(pack_rel, "corrupt_pack", entries.status().ToString());
-        if (options.repair) {
-          Status quarantined = QuarantineFile(pack_path);
-          if (quarantined.ok()) {
-            quarantined = io::AtomicWriteFile(pack_path, BuildSegmentPack({}));
-          }
-          repair_with(issue, "quarantined", quarantined);
+      continue;
+    }
+    ++report.files_checked;
+    ++store_files;
+    Result<std::string> pack = io::ReadFileToString(pack_path);
+    Result<std::vector<PackEntry>> entries =
+        pack.ok() ? ParseSegmentPack(*pack, pack->size())
+                  : Result<std::vector<PackEntry>>(pack.status());
+    if (!entries.ok()) {
+      if (pack.ok() && IsOlderSegmentPack(*pack)) {
+        // A pack an older store-build wrote: intact, just not readable by
+        // this one. Left for store-build, like a missing pack.
+        add_issue(pack_rel, "missing_pack", entries.status().ToString());
+        continue;
+      }
+      // Without a trusted directory no record can be located: the whole
+      // pack goes, and an empty one takes its place so the partition
+      // stays readable.
+      FsckIssue& issue =
+          add_issue(pack_rel, "corrupt_pack", entries.status().ToString());
+      if (options.repair) {
+        Status quarantined = QuarantineFile(pack_path);
+        if (quarantined.ok()) {
+          quarantined = io::AtomicWriteFile(pack_path, BuildSegmentPack({}));
         }
+        repair_with(issue, "quarantined", quarantined);
+      }
+      continue;
+    }
+    // Each record is a whole v3 blob plus its directory summary; a damaged
+    // blob, or one its summary misdescribes, is cut out of the pack on
+    // repair (record and summary together), its bytes kept beside it for
+    // forensics.
+    bool partition_clean = true;
+    std::vector<PackSegment> kept;
+    std::vector<size_t> damaged_issues;
+    for (const PackEntry& entry : *entries) {
+      PackSegment segment;
+      segment.meter = std::string(entry.meter);
+      segment.blob.assign(*pack, static_cast<size_t>(entry.offset),
+                          static_cast<size_t>(entry.size));
+      segment.summary.histogram.assign(size_t{1} << entry.level, 0);
+      AddPackSummary(entry, entry.level, &segment.summary);
+      // The fold runs the strict v3 parse (and refuses any other version)
+      // without building the series, and recomputes the summary.
+      SlotCounts folded;
+      Status verified = FoldFramedSeries(segment.blob, {INT64_MIN, INT64_MAX},
+                                         0, &folded);
+      if (verified.ok() && !(folded == segment.summary)) {
+        verified = DataLossError(
+            "directory summary disagrees with the segment it describes");
+      }
+      if (verified.ok()) {
+        ++report.segments_ok;
+        kept.push_back(std::move(segment));
+        continue;
+      }
+      partition_clean = false;
+      FsckIssue& issue =
+          add_issue(pack_rel, "corrupt_segment",
+                    "meter '" + segment.meter + "': " + verified.ToString());
+      if (!options.repair) continue;
+      const Status quarantined = io::AtomicWriteFile(
+          pack_path + "." + segment.meter + ".corrupt", segment.blob);
+      repair_with(issue, "quarantined", quarantined);
+      if (quarantined.ok()) {
+        damaged_issues.push_back(report.issues.size() - 1);
       } else {
-        // Each record is a whole v3 blob; a damaged one is cut out of the
-        // pack on repair, its bytes kept beside it for forensics.
-        std::vector<std::pair<std::string, std::string>> kept;
-        std::vector<size_t> damaged_issues;
-        for (const PackEntry& entry : *entries) {
-          std::string blob(*pack, static_cast<size_t>(entry.offset),
-                           static_cast<size_t>(entry.size));
-          // The fold runs the strict v3 parse (and refuses any other
-          // version) without building the series.
-          SlotCounts counts;
-          counts.histogram.assign(2, 0);
-          const Status verified =
-              FoldFramedSeries(blob, {INT64_MIN, INT64_MAX}, 1, &counts);
-          if (verified.ok()) {
-            ++report.segments_ok;
-            kept.emplace_back(std::string(entry.meter), std::move(blob));
-            continue;
-          }
-          partition_clean = false;
-          rollup_stale = true;  // the rollup still counts the damaged meter
-          const std::string meter(entry.meter);
-          FsckIssue& issue =
-              add_issue(pack_rel, "corrupt_segment",
-                        "meter '" + meter + "': " + verified.ToString());
-          if (!options.repair) continue;
-          const Status quarantined = io::AtomicWriteFile(
-              pack_path + "." + meter + ".corrupt", blob);
-          repair_with(issue, "quarantined", quarantined);
-          if (quarantined.ok()) {
-            damaged_issues.push_back(report.issues.size() - 1);
-          } else {
-            kept.emplace_back(meter, std::move(blob));  // never drop bytes
-          }
-        }
-        if (!damaged_issues.empty()) {
-          const Status rewritten =
-              io::AtomicWriteFile(pack_path, BuildSegmentPack(kept));
-          if (!rewritten.ok()) {
-            for (size_t index : damaged_issues) {
-              FsckIssue& issue = report.issues[index];
-              issue.repaired = false;
-              issue.action.clear();
-              issue.detail += "; pack rewrite failed: " + rewritten.message();
-            }
-          }
+        kept.push_back(std::move(segment));  // never drop bytes
+      }
+    }
+    if (!damaged_issues.empty()) {
+      const Status rewritten =
+          io::AtomicWriteFile(pack_path, BuildSegmentPack(kept));
+      if (!rewritten.ok()) {
+        for (size_t index : damaged_issues) {
+          FsckIssue& issue = report.issues[index];
+          issue.repaired = false;
+          issue.action.clear();
+          issue.detail += "; pack rewrite failed: " + rewritten.message();
         }
       }
     }
     if (partition_clean) ++report.partitions_ok;
-
-    const std::string rollup_rel = pdir + "/" + kRollupTableFile;
-    const std::string rollup_path = dir + "/" + rollup_rel;
-    std::error_code exists_error;
-    if (!fs::exists(rollup_path, exists_error)) {
-      // A pack without a rollup (a killed build, or a previous repair):
-      // aggregates over this partition fail until store-rollup runs.
-      if (has_pack) {
-        add_issue(rollup_rel, "stale_rollup",
-                  "partition has segments but no rollup table; run "
-                  "store-rollup to rebuild");
-      }
-      continue;
-    }
-    std::optional<io::AppendLogContents> rollup =
-        check_append_log(rollup_rel, "rollup");
-    if (!rollup.has_value()) continue;  // quarantined; rebuild rebuilds it
-    bool rows_ok = !rollup->torn_tail && !rollup->records.empty();
-    for (const std::string& line : rollup->records) {
-      if (!ParseRollupRow(line).has_value()) {
-        rows_ok = false;
-        FsckIssue& issue = add_issue(rollup_rel, "corrupt_rollup",
-                                     "unparseable rollup row");
-        if (options.repair) {
-          repair_with(issue, "quarantined", QuarantineFile(rollup_path));
-        }
-        break;
-      }
-    }
-    std::error_code time_error;
-    fs::file_time_type rollup_mtime =
-        fs::last_write_time(rollup_path, time_error);
-    if (!rollup_stale && !time_error && has_pack &&
-        rollup_mtime < pack_mtime) {
-      rollup_stale = true;
-    }
-    if (rollup_stale) {
-      FsckIssue& issue = add_issue(
-          rollup_rel, "stale_rollup",
-          "rollup is older than the partition's pack (or covers a "
-          "damaged segment); run store-rollup to rebuild");
-      if (options.repair) {
-        repair_with(issue, "removed", RemoveFile(rollup_path));
-      }
-    } else if (rows_ok) {
-      ++report.rollups_ok;
-    }
   }
 
   // Spools checked this pass. They are client-side artifacts: a directory
@@ -568,7 +522,6 @@ std::string FsckReportToJson(const FsckReport& report) {
   out += ",\"partitions_checked\":" +
          std::to_string(report.partitions_checked);
   out += ",\"partitions_ok\":" + std::to_string(report.partitions_ok);
-  out += ",\"rollups_ok\":" + std::to_string(report.rollups_ok);
   out += ",\"segments_ok\":" + std::to_string(report.segments_ok);
   out += ",\"repair_attempted\":" +
          std::string(report.repair_attempted ? "true" : "false");

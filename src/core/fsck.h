@@ -21,20 +21,19 @@
 //                    store-build rebuilds the index)
 //   p<id>/segments.pack
 //                    the partition's segment pack: directory CRC and
-//                    layout, then a full v3 parse of every record. A
-//                    damaged record (corrupt_segment, naming the meter) is
-//                    cut out on repair: its bytes go to
+//                    layout, then a full v3 parse of every record, whose
+//                    fold must equal the record's directory summary
+//                    (windows, gaps, native-level histogram). A damaged
+//                    or misdescribed record (corrupt_segment, naming the
+//                    meter) is cut out on repair, record and summary
+//                    together: its bytes go to
 //                    segments.pack.<meter>.corrupt and the pack is
 //                    rewritten without it. A pack whose directory cannot
 //                    be trusted (corrupt_pack) is quarantined whole and
-//                    replaced by an empty one. A partition with no pack
-//                    (missing_pack: a killed build, or the older .seg
-//                    layout) is left for `store-build`
-//   p<id>/rollup.tab pre-computed rollup rows: framing + row parse; torn
-//                    tails truncated, damage quarantined. A rollup older
-//                    than its partition's pack (or covering a damaged
-//                    segment) is STALE: flagged, and repair removes it so
-//                    `store-rollup` rebuilds it
+//                    replaced by an empty one. A partition with no pack,
+//                    or a pack of an older layout (missing_pack: a killed
+//                    build, the per-meter .seg files, or a pack without
+//                    directory summaries) is left for `store-build`
 //   current.tab/.log hot current-table logs (also written by a live
 //                    ingestd): framing checks, torn tails truncated,
 //                    damage quarantined
@@ -72,9 +71,8 @@ struct FsckIssue {
   // One of: corrupt_symbols, corrupt_table, torn_manifest,
   // corrupt_manifest, invalid_manifest, missing_artifact, stray_tmp,
   // torn_spool, corrupt_spool, corrupt_pack, missing_pack,
-  // corrupt_segment, torn_rollup,
-  // corrupt_rollup, stale_rollup, torn_store_index, corrupt_store_index,
-  // torn_current, corrupt_current.
+  // corrupt_segment, torn_store_index, corrupt_store_index, torn_current,
+  // corrupt_current.
   std::string kind;
   std::string detail;    // human-readable specifics (e.g. which block)
   bool repaired = false;
@@ -91,11 +89,9 @@ struct FsckReport {
   size_t spools_ok = 0;
   size_t manifest_records = 0;
   // Query-store findings: a partition is ok when its pack and every
-  // segment in it verified; a rollup is ok when its rows parsed clean AND
-  // it is not stale relative to the partition's pack.
+  // segment in it verified against its directory summary.
   size_t partitions_checked = 0;
   size_t partitions_ok = 0;
-  size_t rollups_ok = 0;
   size_t segments_ok = 0;
   bool repair_attempted = false;
   std::vector<FsckIssue> issues;

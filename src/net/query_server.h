@@ -7,12 +7,12 @@
 //               idle sweep, drain — the skeleton ingestd's shards share)
 //          -> DecodeFrameView (same CRC32C framing as ingest)
 //          -> QuerySession (pure protocol state machine)
-//          -> ArchiveStore (partition segments, rollup tables, hot
-//             current table — possibly the live ingest daemon's)
+//          -> ArchiveStore (partition segment packs, hot current table
+//             — possibly the live ingest daemon's)
 //
 // One loop thread is deliberate: the read path is dominated by file reads
-// the page cache absorbs, and rollup-served aggregates touch one small
-// file per partition. Sharding the query loop the way ingest is sharded
+// the page cache absorbs, and aggregates over whole partitions read only
+// each pack's small directory. Sharding the query loop the way ingest is sharded
 // is future work the shared core and the single-writer capability model
 // already permit.
 //

@@ -122,8 +122,8 @@ struct AggregateResultPayload {
   uint64_t meters_coarser = 0;
   uint64_t windows = 0;
   uint64_t gaps = 0;
-  uint32_t rollup_partitions = 0;
-  uint32_t scanned_partitions = 0;
+  uint32_t rollup_partitions = 0;   // served from pack directories alone
+  uint32_t scanned_partitions = 0;  // edge partitions whose blobs were read
   std::vector<uint64_t> histogram;  // size 2^level when ok, else empty
 };
 

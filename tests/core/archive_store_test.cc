@@ -1,13 +1,14 @@
 // Tests for the partitioned archive store: build determinism, partition
-// slicing, rollup byte-identity, retention, the hot current table, crash
-// convergence through every store.* fault seam, and the hierarchy property
-// the rollup design rests on — coarsening an encoded series to level k is
-// exactly symbol-prefix truncation of the finer encoding, GAPs included.
+// slicing, pack directory summaries, retention, the hot current table,
+// crash convergence through every store.* fault seam, and the hierarchy
+// property the summaries rest on — coarsening an encoded series to level k
+// is exactly symbol-prefix truncation of the finer encoding, GAPs included.
 
 #include "core/archive_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -127,21 +128,76 @@ TEST(ArchiveStoreUnits, FoldHistogramMergesPrefixBuckets) {
 }
 
 TEST(ArchiveStoreUnits, RollupRowRecordRoundTrips) {
-  RollupRow row;
-  row.meter = "house_a";
-  row.level = 5;
-  row.start = 1234;
-  row.step = 900;
-  row.windows = 96;
-  row.gaps = 3;
-  row.histogram.assign(32, 0);
-  row.histogram[7] = 41;
-  row.histogram[31] = 52;
-  auto parsed = ParseRollupRow(RollupRowRecord(row));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(*parsed == row);
-  EXPECT_FALSE(ParseRollupRow("not json").has_value());
-  EXPECT_FALSE(ParseRollupRow("{\"meter\":\"x\"}").has_value());
+  // Directory summaries round-trip through a pack: what ParseSegmentPack
+  // hands AddPackSummary at the native level is what was built, and a
+  // coarser fold is the prefix fold of the native histogram.
+  std::vector<PackSegment> segments(2);
+  segments[0].meter = "house_a";
+  segments[0].blob = "first blob";
+  segments[0].summary.histogram.assign(32, 0);
+  segments[0].summary.histogram[7] = 41;
+  segments[0].summary.histogram[31] = 52;
+  segments[0].summary.gaps = 3;
+  segments[0].summary.windows = 96;
+  segments[1].meter = "house_b";
+  segments[1].blob = "second";
+  segments[1].summary.histogram.assign(size_t{1} << kMaxSymbolLevel, 1);
+  segments[1].summary.histogram[4095] = 300;  // a two-byte LEB128 count
+  segments[1].summary.windows = 4095 + 300;
+  const std::string pack = BuildSegmentPack(segments);
+  auto entries = ParseSegmentPack(pack, pack.size());
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), 2u);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const PackEntry& entry = (*entries)[i];
+    EXPECT_EQ(entry.meter, segments[i].meter);
+    EXPECT_EQ(pack.substr(static_cast<size_t>(entry.offset),
+                          static_cast<size_t>(entry.size)),
+              segments[i].blob);
+    SlotCounts native;
+    native.histogram.assign(segments[i].summary.histogram.size(), 0);
+    AddPackSummary(entry, entry.level, &native);
+    EXPECT_TRUE(native == segments[i].summary) << entry.meter;
+    SlotCounts coarse;
+    coarse.histogram.assign(4, 0);
+    AddPackSummary(entry, 2, &coarse);
+    EXPECT_EQ(coarse.histogram,
+              FoldHistogram(segments[i].summary.histogram, entry.level, 2));
+    EXPECT_EQ(coarse.windows, segments[i].summary.windows);
+    EXPECT_EQ(coarse.gaps, segments[i].summary.gaps);
+  }
+  EXPECT_EQ((*entries)[0].level, 5);
+  EXPECT_EQ((*entries)[1].level, kMaxSymbolLevel);
+
+  // A summary whose counts do not add up is refused even under a valid
+  // directory CRC: bump house_a's bucket 7 (41 -> 42) and re-seal.
+  std::string skewed = pack;
+  const size_t at =
+      static_cast<size_t>((*entries)[0].histogram.data() - pack.data()) + 7;
+  ASSERT_EQ(skewed[at], 41);
+  skewed[at] = 42;
+  const size_t crc_at = static_cast<size_t>((*entries)[0].offset) - 4;
+  const uint32_t crc = io::Crc32c(std::string_view(skewed).substr(0, crc_at));
+  for (int b = 0; b < 4; ++b) {
+    skewed[crc_at + static_cast<size_t>(b)] =
+        static_cast<char>((crc >> (8 * b)) & 0xffu);
+  }
+  auto refused = ParseSegmentPack(skewed, skewed.size());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(refused.status().message().find("does not add up"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  // The packs that preceded directory summaries are named, not misparsed.
+  std::string older = pack;
+  older.replace(0, 4, "SMPK");
+  EXPECT_TRUE(IsOlderSegmentPack(older));
+  EXPECT_FALSE(IsOlderSegmentPack(pack));
+  auto older_parsed = ParseSegmentPack(older, older.size());
+  ASSERT_FALSE(older_parsed.ok());
+  EXPECT_NE(older_parsed.status().message().find("store-build"),
+            std::string::npos);
 }
 
 TEST(ArchiveStoreUnits, CurrentRecordJsonRoundTrips) {
@@ -227,7 +283,7 @@ TEST(ArchiveStoreBuild, BuildsPartitionsIndexRollupsAndCurrent) {
   for (const PartitionInfo& partition : (*store)->partitions()) {
     EXPECT_TRUE(fs::exists(root + "/store/p" +
                            std::to_string(partition.id) + "/" +
-                           kRollupTableFile));
+                           kSegmentPackFile));
   }
   // The current table has one row per meter, the last sample of each.
   EXPECT_EQ((*store)->CurrentMeters(), 3u);
@@ -236,6 +292,26 @@ TEST(ArchiveStoreBuild, BuildsPartitionsIndexRollupsAndCurrent) {
   auto fleet = TestFleet();
   const SymbolicSeries& a = fleet.at("house_a");
   EXPECT_EQ(latest->timestamp, a[a.size() - 1].timestamp);
+
+  // A pack of the layout that preceded directory summaries is refused at
+  // Open, and fsck leaves it for store-build rather than quarantining it.
+  const std::string pack_path = root + "/store/p1/" + kSegmentPackFile;
+  std::string pack = io::ReadFileToString(pack_path).value();
+  pack.replace(0, 4, "SMPK");
+  ASSERT_TRUE(io::AtomicWriteFile(pack_path, pack).ok());
+  auto refused = ArchiveStore::Open(root + "/store");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("rebuild with store-build"),
+            std::string::npos)
+      << refused.status().ToString();
+  FsckOptions repair;
+  repair.repair = true;
+  auto fsck = FsckArchive(root + "/store", repair);
+  ASSERT_TRUE(fsck.ok());
+  ASSERT_EQ(fsck->issues.size(), 1u) << FsckReportToJson(*fsck);
+  EXPECT_EQ(fsck->issues[0].kind, "missing_pack");
+  EXPECT_FALSE(fsck->issues[0].repaired);
+  EXPECT_EQ(io::ReadFileToString(pack_path).value(), pack);
 }
 
 TEST(ArchiveStoreBuild, RebuildIsByteIdentical) {
@@ -394,26 +470,81 @@ TEST(ArchiveStoreAggregate, FoldedRollupsMatchBruteForce) {
   EXPECT_EQ(aggregate->histogram, expect);
 }
 
-// --- rollups, retention, current table -------------------------------------
+// --- directory summaries, retention, current table -------------------------
 
 TEST(ArchiveStoreRollups, RebuildIsByteIdenticalToBuild) {
+  // Hourly partitions: ~80 packs, far more than the store keeps directory
+  // slots for. Two builds write byte-identical packs whose summaries are
+  // each blob's own fold, and aggregates across all of them still match
+  // brute force while slots are evicted mid-call.
   const std::string root = Scratch("rollup_rebuild");
-  WriteArchive(root + "/archive", TestFleet());
-  ASSERT_TRUE(BuildArchiveStore(root + "/archive", root + "/store").ok());
-  std::map<std::string, std::string> before;
-  for (const auto& entry :
-       fs::recursive_directory_iterator(root + "/store")) {
-    if (entry.path().filename() != kRollupTableFile) continue;
-    before[entry.path().string()] =
-        io::ReadFileToString(entry.path().string()).value();
-    fs::remove(entry.path());
+  auto fleet = TestFleet(5);
+  WriteArchive(root + "/archive", fleet);
+  StoreBuildOptions hourly;
+  hourly.partition_seconds = 3600;
+  ASSERT_TRUE(BuildArchiveStore(root + "/archive", root + "/s1", hourly).ok());
+  ASSERT_TRUE(BuildArchiveStore(root + "/archive", root + "/s2", hourly).ok());
+  const std::map<std::string, std::string> files = SnapshotDir(root + "/s1");
+  EXPECT_EQ(files, SnapshotDir(root + "/s2"));
+  size_t packs = 0;
+  for (const auto& [name, bytes] : files) {
+    if (name == kStoreIndexFile || name == kCurrentTableFile ||
+        name == kCurrentLogFile) {
+      continue;
+    }
+    ASSERT_EQ(fs::path(name).filename(), kSegmentPackFile) << name;
+    ++packs;
+    auto entries = ParseSegmentPack(bytes, bytes.size());
+    ASSERT_TRUE(entries.ok()) << name << ": " << entries.status().ToString();
+    for (const PackEntry& entry : *entries) {
+      SlotCounts folded;
+      ASSERT_TRUE(FoldFramedSeries(
+                      std::string_view(bytes).substr(
+                          static_cast<size_t>(entry.offset),
+                          static_cast<size_t>(entry.size)),
+                      {INT64_MIN, INT64_MAX}, 0, &folded)
+                      .ok());
+      SlotCounts listed;
+      listed.histogram.assign(size_t{1} << entry.level, 0);
+      AddPackSummary(entry, entry.level, &listed);
+      EXPECT_TRUE(listed == folded) << name << ":" << entry.meter;
+    }
   }
-  ASSERT_FALSE(before.empty());
-  auto rebuilt = RebuildRollups(root + "/store");
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(*rebuilt, before.size());
-  for (const auto& [path, bytes] : before) {
-    EXPECT_EQ(io::ReadFileToString(path).value(), bytes) << path;
+  ASSERT_GT(packs, 40u);
+
+  auto store = ArchiveStore::Open(root + "/s1");
+  ASSERT_TRUE(store.ok());
+  const SymbolicSeries& a = fleet.at("house_a");
+  const Timestamp end = a[a.size() - 1].timestamp + 1;
+  for (const TimeRange range : {TimeRange{0, 90 * 3600},
+                                TimeRange{1000, end - 1000}}) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int k = 1; k <= 5; ++k) {
+        auto aggregate = (*store)->Aggregate(range, k);
+        ASSERT_TRUE(aggregate.ok()) << aggregate.status().ToString();
+        std::vector<uint64_t> expect(size_t{1} << k, 0);
+        uint64_t windows = 0, gaps = 0;
+        for (const auto& [meter, series] : fleet) {
+          for (const SymbolicSample& sample : series) {
+            if (!range.Contains(sample.timestamp)) continue;
+            ++windows;
+            if (sample.symbol.is_gap()) {
+              ++gaps;
+            } else {
+              ++expect[sample.symbol.index() >> (5 - k)];
+            }
+          }
+        }
+        EXPECT_EQ(aggregate->meters, 3u);
+        EXPECT_EQ(aggregate->meters_coarser, 0u);
+        EXPECT_EQ(aggregate->windows, windows) << "k=" << k;
+        EXPECT_EQ(aggregate->gaps, gaps) << "k=" << k;
+        EXPECT_EQ(aggregate->histogram, expect) << "k=" << k;
+        EXPECT_GT(aggregate->rollup_partitions, 40u);
+        EXPECT_EQ(aggregate->scanned_partitions,
+                  range.begin % 3600 == 0 ? 0u : 2u);
+      }
+    }
   }
 }
 
@@ -434,6 +565,36 @@ TEST(ArchiveStoreRetention, DropsWholePartitionsBeforeCutoff) {
   auto later = (*store)->Scan(
       "house_a", {kSecondsPerDay, 4 * kSecondsPerDay}, 0, 1000);
   EXPECT_TRUE(later.ok());
+
+  // A store opened before retention ran (a long-running queryd) skips the
+  // dropped partition as Scan does: its aggregates equal a freshly opened
+  // store's, whether the dropped day was covered or an edge.
+  const std::string again = Scratch("retention_open");
+  WriteArchive(again + "/archive", TestFleet());
+  ASSERT_TRUE(BuildArchiveStore(again + "/archive", again + "/store").ok());
+  auto open_before = ArchiveStore::Open(again + "/store");
+  ASSERT_TRUE(open_before.ok());
+  const TimeRange windows[] = {{0, 4 * kSecondsPerDay},
+                               {40'000, 3 * kSecondsPerDay + 20'000}};
+  for (const TimeRange& window : windows) {
+    auto served = (*open_before)->Aggregate(window, 3);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+  }
+  ASSERT_TRUE(DropPartitionsBefore(again + "/store", kSecondsPerDay).ok());
+  auto fresh = ArchiveStore::Open(again + "/store");
+  ASSERT_TRUE(fresh.ok());
+  for (const TimeRange& window : windows) {
+    auto stale = (*open_before)->Aggregate(window, 3);
+    auto want = (*fresh)->Aggregate(window, 3);
+    ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(stale->meters, want->meters);
+    EXPECT_EQ(stale->windows, want->windows);
+    EXPECT_EQ(stale->gaps, want->gaps);
+    EXPECT_EQ(stale->histogram, want->histogram);
+    EXPECT_EQ(stale->rollup_partitions, want->rollup_partitions);
+    EXPECT_EQ(stale->scanned_partitions, want->scanned_partitions);
+  }
 }
 
 TEST(ArchiveStoreCurrent, LiveLogAppendsRefreshLatest) {
@@ -511,7 +672,6 @@ TEST(ArchiveStoreFaults, KilledBuildConvergesOnRerun) {
   int trial = 0;
   const std::map<std::string, std::vector<int>> seam_calls = {
       {"store.segment.write", {1, 2}},
-      {"store.rollup.write", {1, 2}},
       {"store.index.write", {1}},  // the index is one atomic write
   };
   for (const auto& [seam, calls] : seam_calls) {
@@ -549,8 +709,8 @@ TEST(ArchiveStoreFaults, SegmentReadFailureSurfacesWithoutCorruption) {
 
   // Real damage: flip a byte inside house_b's record in partition 1's
   // pack. fsck names the partition and the meter; --repair cuts the record
-  // out of the pack, keeps its bytes beside it and drops the stale rollup;
-  // store-rollup then brings the store back to clean.
+  // and its directory summary out of the pack together and keeps the
+  // bytes beside it, which alone brings the store back to clean.
   const std::string pack_path =
       root + "/store/p1/" + std::string(kSegmentPackFile);
   std::string pack = io::ReadFileToString(pack_path).value();
@@ -589,14 +749,8 @@ TEST(ArchiveStoreFaults, SegmentReadFailureSurfacesWithoutCorruption) {
   repair.repair = true;
   auto repaired = FsckArchive(root + "/store", repair);
   ASSERT_TRUE(repaired.ok());
-  bool stale_flagged = false;
-  for (const FsckIssue& issue : repaired->issues) {
-    EXPECT_TRUE(issue.repaired) << issue.kind << " " << issue.detail;
-    if (issue.kind == "stale_rollup" && issue.path == "p1/rollup.tab") {
-      stale_flagged = true;
-    }
-  }
-  EXPECT_TRUE(stale_flagged);
+  ASSERT_EQ(repaired->issues.size(), 1u) << FsckReportToJson(*repaired);
+  EXPECT_TRUE(repaired->issues[0].repaired);
   EXPECT_EQ(FsckExitCode(*repaired), 1);
   EXPECT_EQ(io::ReadFileToString(pack_path + ".house_b.corrupt").value(),
             damaged_blob);
@@ -605,12 +759,54 @@ TEST(ArchiveStoreFaults, SegmentReadFailureSurfacesWithoutCorruption) {
   ASSERT_TRUE(kept.ok()) << kept.status().ToString();
   EXPECT_EQ(kept->size(), kept_segments);
   for (const PackEntry& entry : *kept) EXPECT_NE(entry.meter, "house_b");
-  EXPECT_FALSE(fs::exists(root + "/store/p1/" + kRollupTableFile));
 
-  ASSERT_TRUE(RebuildRollups(root + "/store").ok());
   auto clean = FsckArchive(root + "/store", FsckOptions{});
   ASSERT_TRUE(clean.ok());
   EXPECT_TRUE(clean->clean()) << FsckReportToJson(*clean);
+
+  // A pack whose directory summary disagrees with its (intact) blob: move
+  // one of house_a's value slots in partition 2 to another bucket, under a
+  // valid directory CRC. fsck's fold catches it as corrupt_segment, and
+  // --repair cuts that record like a damaged one.
+  const std::string skew_path =
+      root + "/store/p2/" + std::string(kSegmentPackFile);
+  const std::string skew_pack = io::ReadFileToString(skew_path).value();
+  auto skew_entries = ParseSegmentPack(skew_pack, skew_pack.size());
+  ASSERT_TRUE(skew_entries.ok()) << skew_entries.status().ToString();
+  std::vector<PackSegment> segments;
+  for (const PackEntry& entry : *skew_entries) {
+    PackSegment segment;
+    segment.meter = std::string(entry.meter);
+    segment.blob = skew_pack.substr(static_cast<size_t>(entry.offset),
+                                    static_cast<size_t>(entry.size));
+    segment.summary.histogram.assign(size_t{1} << entry.level, 0);
+    AddPackSummary(entry, entry.level, &segment.summary);
+    if (segment.meter == "house_a") {
+      std::vector<uint64_t>& histogram = segment.summary.histogram;
+      auto from = std::find_if(histogram.begin(), histogram.end(),
+                               [](uint64_t n) { return n > 0; });
+      ASSERT_NE(from, histogram.end());
+      --*from;
+      ++histogram[(static_cast<size_t>(from - histogram.begin()) + 1) %
+                  histogram.size()];
+    }
+    segments.push_back(std::move(segment));
+  }
+  ASSERT_TRUE(io::AtomicWriteFile(skew_path, BuildSegmentPack(segments)).ok());
+  auto skewed = FsckArchive(root + "/store", FsckOptions{});
+  ASSERT_TRUE(skewed.ok());
+  ASSERT_EQ(skewed->issues.size(), 1u) << FsckReportToJson(*skewed);
+  EXPECT_EQ(skewed->issues[0].kind, "corrupt_segment");
+  EXPECT_EQ(skewed->issues[0].path, "p2/" + std::string(kSegmentPackFile));
+  EXPECT_NE(skewed->issues[0].detail.find("house_a"), std::string::npos);
+  EXPECT_NE(skewed->issues[0].detail.find("summary"), std::string::npos)
+      << skewed->issues[0].detail;
+  auto cut = FsckArchive(root + "/store", repair);
+  ASSERT_TRUE(cut.ok());
+  EXPECT_EQ(FsckExitCode(*cut), 1) << FsckReportToJson(*cut);
+  auto settled = FsckArchive(root + "/store", FsckOptions{});
+  ASSERT_TRUE(settled.ok());
+  EXPECT_TRUE(settled->clean()) << FsckReportToJson(*settled);
 }
 
 TEST(ArchiveStoreFaults, CurrentAppendSeamDegradesNotDies) {

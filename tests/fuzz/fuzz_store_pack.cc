@@ -3,17 +3,22 @@
 // byte:
 //
 //   * raw bytes through ParseSegmentPack — an accepted pack must describe
-//     strictly ascending meters whose blobs tile the rest of the file, and
-//     must rebuild to exactly the input bytes (the layout has one encoding
+//     strictly ascending meters whose blobs tile the rest of the file and
+//     whose directory summaries add up, and must rebuild (summaries
+//     included) to exactly the input bytes (the layout has one encoding
 //     per pack); every blob it locates then goes through the fold, which
 //     must refuse or count, never crash;
-//   * a fuzz-built pack, then up to three bit flips and an optional
-//     truncation — an accepted damaged pack must have the original
-//     directory (CRC32C catches every error of three bits or fewer), and
-//     an undamaged one must parse back to what was written.
+//   * a fuzz-built pack of real v3 segments (summarized from the series)
+//     and raw byte blobs (with fuzz-chosen summaries), then up to three
+//     bit flips and an optional truncation. Undamaged, it must parse back
+//     to what was written, and each real segment's directory summary must
+//     equal FoldFramedSeries over the blob's full range at its native
+//     level; an accepted damaged pack must have the original directory
+//     (CRC32C catches every error of three bits or fewer).
 //
-// Crash conditions (beyond sanitizer reports): any closure mismatch, or a
-// damaged directory that parses as a different one.
+// Crash conditions (beyond sanitizer reports): any closure mismatch, a
+// summary that disagrees with its segment's fold, or a damaged directory
+// that parses as a different one.
 
 #include <cstdint>
 #include <string>
@@ -23,6 +28,8 @@
 #include "common/check.h"
 #include "core/archive_store.h"
 #include "core/codec.h"
+#include "core/symbol.h"
+#include "core/symbolic_series.h"
 #include "fuzz_input.h"
 
 namespace smeter {
@@ -30,17 +37,24 @@ namespace {
 
 using fuzz::FuzzInput;
 
-using Segments = std::vector<std::pair<std::string, std::string>>;
+constexpr TimeRange kAllTime = {INT64_MIN, INT64_MAX};
+
+// An entry's summary, decoded at its native level.
+SlotCounts Summary(const PackEntry& entry) {
+  SlotCounts counts;
+  counts.histogram.assign(size_t{1} << entry.level, 0);
+  AddPackSummary(entry, entry.level, &counts);
+  return counts;
+}
 
 void FoldEveryBlob(const std::string& pack,
                    const std::vector<PackEntry>& entries) {
   for (const PackEntry& entry : entries) {
     SlotCounts counts;
-    counts.histogram.assign(2, 0);
     (void)FoldFramedSeries(
         std::string_view(pack).substr(static_cast<size_t>(entry.offset),
                                       static_cast<size_t>(entry.size)),
-        {INT64_MIN, INT64_MAX}, 1, &counts);
+        kAllTime, 0, &counts);
   }
 }
 
@@ -51,26 +65,82 @@ void FuzzParse(const std::string& pack) {
     SMETER_CHECK(entries.status().code() == StatusCode::kDataLoss);
     return;
   }
-  Segments segments;
+  std::vector<PackSegment> segments;
   uint64_t next = entries->empty() ? pack.size() : entries->front().offset;
   for (const PackEntry& entry : *entries) {
     SMETER_CHECK(!entry.meter.empty());
-    SMETER_CHECK(segments.empty() || segments.back().first < entry.meter);
+    SMETER_CHECK(segments.empty() || segments.back().meter < entry.meter);
     SMETER_CHECK_EQ(entry.offset, next);
     SMETER_CHECK_LE(entry.size, pack.size() - entry.offset);
     next = entry.offset + entry.size;
-    segments.emplace_back(
-        std::string(entry.meter),
-        pack.substr(static_cast<size_t>(entry.offset),
-                    static_cast<size_t>(entry.size)));
+    PackSegment segment;
+    segment.meter = std::string(entry.meter);
+    segment.blob = pack.substr(static_cast<size_t>(entry.offset),
+                               static_cast<size_t>(entry.size));
+    segment.summary = Summary(entry);
+    SMETER_CHECK_EQ(segment.summary.windows, entry.windows);
+    SMETER_CHECK_EQ(segment.summary.gaps, entry.gaps);
+    segments.push_back(std::move(segment));
   }
   SMETER_CHECK_EQ(next, pack.size());
+  // BuildSegmentPack checks each summary adds up, so this also holds the
+  // parser to that rule.
   SMETER_CHECK(BuildSegmentPack(segments) == pack);
   FoldEveryBlob(pack, *entries);
 }
 
+// A real v3 segment: a fuzz-shaped series at a fuzz level, summarized from
+// the series itself (not from the fold the differential compares with).
+PackSegment SeriesSegment(FuzzInput& in) {
+  const int level = in.TakeIntInRange(1, kMaxSymbolLevel);
+  const int count = in.TakeIntInRange(1, 300);
+  const int gap_every = in.TakeIntInRange(0, 9);
+  SymbolicSeries series(level);
+  for (int i = 0; i < count; ++i) {
+    const uint32_t index =
+        static_cast<uint32_t>(in.TakeUint64() % (uint64_t{1} << level));
+    const Symbol symbol = gap_every > 0 && i % gap_every == 0
+                              ? Symbol::Gap(level)
+                              : Symbol::Create(level, index).value();
+    SMETER_CHECK(series.Append({int64_t{i} * 900, symbol}).ok());
+  }
+  PackSegment segment;
+  segment.blob =
+      PackSymbolicSeriesFramed(
+          series, static_cast<size_t>(in.TakeIntInRange(1, 64)))
+          .value();
+  const std::vector<size_t> histogram = series.Histogram();
+  segment.summary.histogram.assign(histogram.begin(), histogram.end());
+  segment.summary.windows = series.size();
+  segment.summary.gaps = series.GapCount();
+  return segment;
+}
+
+// Up to 2^60, so that nine of them still add up inside 64 bits.
+uint64_t TakeCount(FuzzInput& in) {
+  return in.TakeUint64() >> (4 + in.TakeByte() % 60);
+}
+
+// Raw bytes with a fuzz-chosen summary that adds up.
+PackSegment RawSegment(FuzzInput& in) {
+  PackSegment segment;
+  segment.blob =
+      in.TakeString(static_cast<size_t>(in.TakeIntInRange(0, 300)));
+  const int level = in.TakeIntInRange(1, kMaxSymbolLevel);
+  segment.summary.histogram.assign(size_t{1} << level, 0);
+  for (int i = in.TakeIntInRange(0, 8); i > 0; --i) {
+    segment.summary.histogram[static_cast<size_t>(
+        in.TakeUint64() % segment.summary.histogram.size())] += TakeCount(in);
+  }
+  segment.summary.gaps = TakeCount(in);
+  segment.summary.windows = segment.summary.gaps;
+  for (uint64_t n : segment.summary.histogram) segment.summary.windows += n;
+  return segment;
+}
+
 void FuzzDamage(FuzzInput& in) {
-  Segments segments;
+  std::vector<PackSegment> segments;
+  std::vector<bool> real;
   const int count = in.TakeIntInRange(0, 12);
   std::string name = "m";
   for (int i = 0; i < count; ++i) {
@@ -80,18 +150,26 @@ void FuzzDamage(FuzzInput& in) {
     } else {
       name.back() = static_cast<char>(name.back() + 1);
     }
-    segments.emplace_back(
-        name, in.TakeString(static_cast<size_t>(in.TakeIntInRange(0, 300))));
+    real.push_back(in.TakeByte() % 2 == 0);
+    segments.push_back(real.back() ? SeriesSegment(in) : RawSegment(in));
+    segments.back().meter = name;
   }
   const std::string pack = BuildSegmentPack(segments);
   Result<std::vector<PackEntry>> clean = ParseSegmentPack(pack, pack.size());
   SMETER_CHECK(clean.ok());
   SMETER_CHECK_EQ(clean->size(), segments.size());
   for (size_t i = 0; i < segments.size(); ++i) {
-    SMETER_CHECK((*clean)[i].meter == segments[i].first);
-    SMETER_CHECK(pack.compare(static_cast<size_t>((*clean)[i].offset),
-                              static_cast<size_t>((*clean)[i].size),
-                              segments[i].second) == 0);
+    const PackEntry& entry = (*clean)[i];
+    SMETER_CHECK(entry.meter == segments[i].meter);
+    SMETER_CHECK(pack.compare(static_cast<size_t>(entry.offset),
+                              static_cast<size_t>(entry.size),
+                              segments[i].blob) == 0);
+    SMETER_CHECK(Summary(entry) == segments[i].summary);
+    if (!real[i]) continue;
+    SlotCounts folded;
+    SMETER_CHECK(FoldFramedSeries(segments[i].blob, kAllTime, 0, &folded)
+                     .ok());
+    SMETER_CHECK(Summary(entry) == folded);
   }
 
   std::string damaged = pack;
@@ -119,6 +197,7 @@ void FuzzDamage(FuzzInput& in) {
     SMETER_CHECK((*reread)[i].meter == (*clean)[i].meter);
     SMETER_CHECK_EQ((*reread)[i].offset, (*clean)[i].offset);
     SMETER_CHECK_EQ((*reread)[i].size, (*clean)[i].size);
+    SMETER_CHECK(Summary((*reread)[i]) == segments[i].summary);
   }
   FoldEveryBlob(damaged, *reread);
 }

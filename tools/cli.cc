@@ -844,16 +844,6 @@ Status CmdStoreBuild(const Flags& flags, std::ostream& out) {
   return Status::Ok();
 }
 
-Status CmdStoreRollup(const Flags& flags, std::ostream& out) {
-  Result<std::string> store = flags.Get("store");
-  if (!store.ok()) return store.status();
-  SMETER_RETURN_IF_ERROR(CheckNoStrayFlags(flags));
-  Result<size_t> partitions = RebuildRollups(*store);
-  if (!partitions.ok()) return partitions.status();
-  out << "rebuilt rollups in " << *partitions << " partition(s)\n";
-  return Status::Ok();
-}
-
 Status CmdStoreRetain(const Flags& flags, std::ostream& out) {
   Result<std::string> store = flags.Get("store");
   if (!store.ok()) return store.status();
@@ -1112,7 +1102,6 @@ Status RunCliWithCode(const std::vector<std::string>& args,
   if (command == "loadgen") return CmdLoadgen(*flags, out, exit_code);
   if (command == "uplink") return CmdUplink(*flags, out, exit_code);
   if (command == "store-build") return CmdStoreBuild(*flags, out);
-  if (command == "store-rollup") return CmdStoreRollup(*flags, out);
   if (command == "store-retain") return CmdStoreRetain(*flags, out);
   if (command == "queryd") return CmdQueryd(*flags, out);
   if (command == "query") return CmdQuery(*flags, out, exit_code);
@@ -1317,17 +1306,15 @@ std::string UsageText() {
       "               archive (encode-fleet's or a drained ingestd's): one\n"
       "               p<id>/ directory per partition holding a\n"
       "               segments.pack (every meter's v3 segment behind one\n"
-      "               crc-checked directory, written once) and a rollup.tab\n"
-      "               of pre-computed per-meter histograms, a crc-checked\n"
-      "               store.index, and the hot current.tab of last-known\n"
-      "               symbols. Deterministic: rebuilding over the same\n"
-      "               archive is byte-identical. A store left by the\n"
-      "               older per-meter .seg layout is refused by queryd;\n"
-      "               rerunning store-build writes its packs\n"
-      "  store-rollup --store DIR\n"
-      "               rebuild every partition's rollup.tab from its\n"
-      "               segments.pack (after fsck flags stale rollups, or a\n"
-      "               killed build); converges to the store-build output\n"
+      "               crc-checked directory that also keeps each\n"
+      "               segment's windows, gaps and native-level histogram,\n"
+      "               written once), a crc-checked store.index, and the\n"
+      "               hot current.tab of last-known symbols.\n"
+      "               Deterministic: rebuilding over the same archive is\n"
+      "               byte-identical. A store of an older layout (per-meter\n"
+      "               .seg files, or packs without directory summaries) is\n"
+      "               refused by queryd; rerunning store-build into a fresh\n"
+      "               directory writes current packs\n"
       "  store-retain --store DIR --cutoff TS\n"
       "               drop whole partitions whose window ends at or before\n"
       "               the cutoff timestamp (retention = unlink, no rewrite)\n"
