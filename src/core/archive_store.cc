@@ -112,6 +112,26 @@ Status EnsureDir(const std::string& dir) {
   return Status::Ok();
 }
 
+// Removes every entry of `dir` but `keep`, so a partition directory holds
+// exactly what this build wrote: a rebuild in place over an older store
+// (a file of another layout, a repair's quarantined blob, a killed
+// build's temporary) then leaves the same tree a fresh build does.
+Status RemoveAllBut(const std::string& dir, const std::string& keep) {
+  std::error_code error;
+  std::vector<fs::path> stale;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, error)) {
+    if (entry.path().filename() != keep) stale.push_back(entry.path());
+  }
+  for (const fs::path& path : stale) {
+    if (error) break;
+    fs::remove_all(path, error);
+  }
+  if (error) {
+    return InternalError("cannot clear " + dir + ": " + error.message());
+  }
+  return Status::Ok();
+}
+
 // --- segment pack ----------------------------------------------------------
 //
 //   magic "SMP2" | u32le directory bytes | directory | u32le crc32c of all
@@ -666,6 +686,7 @@ Result<StoreBuildReport> BuildArchiveStore(const std::string& archive_dir,
     SMETER_FAULT_POINT("store.segment.write");
     SMETER_RETURN_IF_ERROR(io::AtomicWriteFile(
         part_dir + "/" + kSegmentPackFile, BuildSegmentPack(segments)));
+    SMETER_RETURN_IF_ERROR(RemoveAllBut(part_dir, kSegmentPackFile));
   }
   report.partitions = index.size();
 

@@ -90,11 +90,27 @@ Result<QualityEncoding> EncodePipelineWithGaps(const TimeSeries& raw,
       VerticalSegmentByWindowWithGaps(raw, options.window_seconds,
                                       gap_options);
   if (!windows.ok()) return windows.status();
+  return EncodeWindows(*windows, table, /*gap_aware=*/true);
+}
 
+Result<QualityEncoding> EncodeWindows(
+    const std::vector<AggregatedWindow>& windows, const LookupTable& table,
+    bool gap_aware) {
   QualityEncoding out;
+  if (!gap_aware) {
+    TimeSeries series;
+    for (const AggregatedWindow& w : windows) {
+      SMETER_RETURN_IF_ERROR(series.Append({w.timestamp, w.value}));
+    }
+    Result<SymbolicSeries> symbols = Encode(series, table);
+    if (!symbols.ok()) return symbols.status();
+    out.quality.windows_valid = symbols->size();
+    out.symbols = std::move(symbols.value());
+    return out;
+  }
   std::vector<double> values;
-  values.reserve(windows->size());
-  for (const AggregatedWindow& w : *windows) {
+  values.reserve(windows.size());
+  for (const AggregatedWindow& w : windows) {
     switch (w.quality) {
       case WindowQuality::kValid:
         ++out.quality.windows_valid;
@@ -113,9 +129,9 @@ Result<QualityEncoding> EncodePipelineWithGaps(const TimeSeries& raw,
   std::vector<Symbol> symbols(values.size());
   SMETER_RETURN_IF_ERROR(EncodeBatchWithGaps(table, values, symbols.data()));
   std::vector<SymbolicSample> samples;
-  samples.reserve(windows->size());
-  for (size_t i = 0; i < windows->size(); ++i) {
-    samples.push_back({(*windows)[i].timestamp, symbols[i]});
+  samples.reserve(windows.size());
+  for (size_t i = 0; i < windows.size(); ++i) {
+    samples.push_back({windows[i].timestamp, symbols[i]});
   }
   Result<SymbolicSeries> series =
       SymbolicSeries::FromSamples(table.level(), std::move(samples));

@@ -9,10 +9,15 @@
 //
 // The full paper pipeline "vertical then horizontal" is provided as
 // EncodePipeline for convenience; it is exactly
-// Encode(VerticalSegmentByWindow(...)).
+// Encode(VerticalSegmentByWindow(...)). A trace streamed from disk goes
+// through a WindowFolder and EncodeWindows instead (see HouseholdEncoder in
+// core/fleet_encoder.h); the batch segmentations fold through the same
+// WindowFolder, so both routes give the same symbols.
 
 #ifndef SMETER_CORE_ENCODER_H_
 #define SMETER_CORE_ENCODER_H_
+
+#include <vector>
 
 #include "common/status.h"
 #include "core/lookup_table.h"
@@ -80,6 +85,15 @@ struct QualityEncoding {
 Result<QualityEncoding> EncodePipelineWithGaps(const TimeSeries& raw,
                                                const LookupTable& table,
                                                const PipelineOptions& options);
+
+// The horizontal half of both pipelines, over windows a WindowFolder
+// produced. `gap_aware` (windows folded with keep_gaps): GAP windows become
+// GAP symbols and partial ones are encoded but counted. Otherwise every
+// window is valid, and one whose aggregate is not finite is an error, as
+// in VerticalSegmentByWindow.
+Result<QualityEncoding> EncodeWindows(
+    const std::vector<AggregatedWindow>& windows, const LookupTable& table,
+    bool gap_aware);
 
 }  // namespace smeter
 

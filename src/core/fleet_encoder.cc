@@ -1,7 +1,10 @@
 #include "core/fleet_encoder.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -18,53 +21,29 @@ Status AnnotateHousehold(size_t index, const Status& status) {
                                    status.message());
 }
 
-struct EncodedHousehold {
-  HouseholdEncoding encoding;
-  EncodeQuality quality;
-};
+// Cap on the history values reserved up front. A fully sampled span at
+// the declared period is reserved once instead of regrown, but a huge
+// history_seconds cannot reserve memory its trace may never fill.
+constexpr int64_t kMaxHistoryReserve = int64_t{1} << 20;
 
-Result<EncodedHousehold> EncodeHousehold(const TimeSeries& trace,
-                                         const FleetEncodeOptions& options) {
-  if (trace.empty()) return FailedPreconditionError("empty trace");
-  TimeSeries training = trace;
-  if (options.history_seconds > 0) {
-    training = trace.Slice({trace.front().timestamp,
-                            trace.front().timestamp + options.history_seconds});
-    if (training.empty()) {
-      return FailedPreconditionError("no training data in the history span");
-    }
-  }
-  Result<LookupTable> table =
-      LookupTable::Build(training.Values(), options.table);
-  if (!table.ok()) return table.status();
-  EncodedHousehold out{{std::move(table.value()), SymbolicSeries(1)}, {}};
-  if (options.gap_aware) {
-    Result<QualityEncoding> encoded =
-        EncodePipelineWithGaps(trace, out.encoding.table, options.pipeline);
-    if (!encoded.ok()) return encoded.status();
-    out.quality = encoded->quality;
-    out.encoding.symbols = std::move(encoded.value().symbols);
-  } else {
-    Result<SymbolicSeries> symbols =
-        EncodePipeline(trace, out.encoding.table, options.pipeline);
-    if (!symbols.ok()) return symbols.status();
-    out.quality.windows_valid = symbols->size();
-    out.encoding.symbols = std::move(symbols.value());
-  }
-  return out;
-}
-
-// One full attempt for one household: injection point, trace-load check,
-// encode, then the sink. Any failing step fails the attempt as a unit, so
-// the retry loop re-runs all of it.
+// One full attempt for one household: injection point, load (streamed or
+// the trace's Result), encode, then the sink. Any failing step fails the
+// attempt as a unit, so the retry loop re-runs all of it.
 Status AttemptHousehold(size_t index, const FleetInput& input,
                         const FleetEncodeOptions& options,
                         const HouseholdSink& sink, HouseholdReport* report,
                         std::optional<HouseholdEncoding>* kept) {
   SMETER_FAULT_POINT("fleet.household");
-  if (!input.trace.ok()) return input.trace.status();
-  Result<EncodedHousehold> encoded =
-      EncodeHousehold(input.trace.value(), options);
+  HouseholdEncoder encoder(options);
+  if (input.source) {
+    SMETER_RETURN_IF_ERROR(
+        input.source([&encoder](Sample s) { return encoder.Add(s); }));
+  } else {
+    if (!input.trace.ok()) return input.trace.status();
+    for (const Sample& s : *input.trace) SMETER_RETURN_IF_ERROR(encoder.Add(s));
+  }
+  report->samples = encoder.samples();
+  Result<EncodedHousehold> encoded = encoder.Finish();
   if (!encoded.ok()) return encoded.status();
   report->quality = encoded->quality;
   if (sink) {
@@ -122,6 +101,69 @@ std::string FormatRatio(double value) {
 }
 
 }  // namespace
+
+HouseholdEncoder::HouseholdEncoder(const FleetEncodeOptions& options)
+    : options_(options),
+      folder_(WindowFolder::Create(options.pipeline.window_seconds,
+                                   {options.pipeline.window},
+                                   options.gap_aware)) {}
+
+Status HouseholdEncoder::Add(Sample sample) {
+  if (!std::isfinite(sample.value)) {
+    return InvalidArgumentError("non-finite value");
+  }
+  if (samples_ > 0 && sample.timestamp < last_) {
+    return InvalidArgumentError("timestamp regresses");
+  }
+  const int64_t history = options_.history_seconds;
+  if (samples_ == 0 && history > 0) {
+    // Saturates rather than wraps for a history reaching past the last
+    // representable second.
+    if (__builtin_add_overflow(sample.timestamp, history, &history_end_)) {
+      history_end_ = std::numeric_limits<Timestamp>::max();
+    }
+    const int64_t period = options_.pipeline.window.sample_period_seconds;
+    if (period > 0) {
+      history_.reserve(static_cast<size_t>(
+          std::min(history / period + 1, kMaxHistoryReserve)));
+    }
+  }
+  ++samples_;
+  last_ = sample.timestamp;
+  if (history <= 0 || sample.timestamp < history_end_) {
+    history_.push_back(sample.value);
+  }
+  if (folder_.ok()) folder_->Add(sample);
+  return Status::Ok();
+}
+
+Result<EncodedHousehold> HouseholdEncoder::Finish() {
+  if (samples_ == 0) return FailedPreconditionError("empty trace");
+  if (history_.empty()) {
+    return FailedPreconditionError("no training data in the history span");
+  }
+  Result<LookupTable> table = LookupTable::Build(history_, options_.table);
+  if (!table.ok()) return table.status();
+  history_ = {};
+  SMETER_FAULT_POINT("encode.pipeline");
+  if (!folder_.ok()) return folder_.status();
+  Result<std::vector<AggregatedWindow>> windows = folder_->Finish();
+  if (!windows.ok()) return windows.status();
+  Result<QualityEncoding> encoded =
+      EncodeWindows(*windows, *table, options_.gap_aware);
+  if (!encoded.ok()) return encoded.status();
+  const EncodeQuality quality = encoded->quality;
+  return EncodedHousehold{
+      {std::move(table.value()), std::move(encoded.value().symbols)},
+      quality};
+}
+
+Result<EncodedHousehold> EncodeHousehold(const TimeSeries& trace,
+                                         const FleetEncodeOptions& options) {
+  HouseholdEncoder encoder(options);
+  for (const Sample& s : trace) SMETER_RETURN_IF_ERROR(encoder.Add(s));
+  return encoder.Finish();
+}
 
 Result<std::vector<HouseholdEncoding>> EncodeFleet(
     const std::vector<TimeSeries>& households,

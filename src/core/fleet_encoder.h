@@ -41,9 +41,10 @@
 namespace smeter {
 
 // Retry policy for EncodeFleetTolerant. An "attempt" is the whole
-// per-household unit of work: load result check, table build, encode, and
-// the sink callback — a transient write failure retries the same way a
-// transient read failure does.
+// per-household unit of work: the load (streamed from FleetInput::source,
+// or the trace's Result checked), table build, encode, and the sink
+// callback — a transient write failure retries the same way a transient
+// read failure does.
 struct RetryOptions {
   // Extra attempts after the first failure (0 = fail fast).
   int max_retries = 2;
@@ -80,6 +81,47 @@ struct HouseholdEncoding {
   SymbolicSeries symbols;
 };
 
+// A household's encoding plus the quality of its windows.
+struct EncodedHousehold {
+  HouseholdEncoding encoding;
+  EncodeQuality quality;
+};
+
+// The one path from a household's raw samples to its table and symbols,
+// one sample at a time. It keeps only what the table and the windows
+// need: the values of the history span (8 B a sample; all of them when
+// history_seconds is 0) and the folded windows, never the trace itself,
+// so a household can be encoded straight from disk.
+class HouseholdEncoder {
+ public:
+  explicit HouseholdEncoder(const FleetEncodeOptions& options);
+
+  // Validates `sample` as TimeSeries::Append does, keeps its value if it
+  // falls in [first, first + history_seconds), and folds it into its
+  // window.
+  Status Add(Sample sample);
+
+  // Samples added so far.
+  size_t samples() const { return samples_; }
+
+  // Learns the table from the history values and encodes the windows:
+  // GAP symbols and a degraded quality when gap_aware, the valid windows
+  // only otherwise. Call once.
+  Result<EncodedHousehold> Finish();
+
+ private:
+  FleetEncodeOptions options_;
+  Result<WindowFolder> folder_;
+  std::vector<double> history_;
+  size_t samples_ = 0;
+  Timestamp last_ = 0;
+  Timestamp history_end_ = 0;
+};
+
+// A whole in-memory trace fed through a HouseholdEncoder.
+Result<EncodedHousehold> EncodeHousehold(const TimeSeries& trace,
+                                         const FleetEncodeOptions& options);
+
 // Encodes every household, using `pool` to spread households across
 // threads (nullptr = serial). Results arrive in input order regardless of
 // scheduling. On failure the error names the offending household and is
@@ -89,13 +131,25 @@ Result<std::vector<HouseholdEncoding>> EncodeFleet(
     const std::vector<TimeSeries>& households,
     const FleetEncodeOptions& options, ThreadPool* pool = nullptr);
 
-// One household heading into the tolerant encoder. The trace is a Result
-// so a failed load (unreadable file, malformed CSV) flows into the same
-// quarantine machinery as an encode failure, instead of aborting before
-// the fleet call.
+// Streams one household's samples, in timestamp order, into `on_sample`
+// and returns the first error: e.g. data::ForEachReddHouseSample bound to
+// a house directory.
+using SampleSource =
+    std::function<Status(const std::function<Status(Sample)>& on_sample)>;
+
+// One household heading into the tolerant encoder, either in memory or on
+// disk. The trace is a Result so a failed load (unreadable file, malformed
+// CSV) flows into the same quarantine machinery as an encode failure,
+// instead of aborting before the fleet call.
 struct FleetInput {
   std::string name;
-  Result<TimeSeries> trace;
+  Result<TimeSeries> trace = TimeSeries();
+  // When set, `trace` is ignored and every attempt streams the household
+  // from here instead, inside its pool lane: a lane then holds two read
+  // buffers, the history values and the windows rather than a trace, and
+  // a failed read retries like any other failed attempt. (A source, not a
+  // path, because core does not link the data loaders.)
+  SampleSource source = nullptr;
 };
 
 enum class HouseholdOutcome {
@@ -116,6 +170,10 @@ struct HouseholdReport {
   Status error;
   // Window-quality counts (all-valid unless gap_aware was set).
   EncodeQuality quality;
+  // Samples the household's last complete load delivered, even if its
+  // encode then failed; 0 if it never loaded (and for carried-over
+  // reports, which never load).
+  size_t samples = 0;
   // The encoding, present unless quarantined. Absent when a sink consumed
   // the outputs (see HouseholdSink below) to keep fleet-scale memory flat.
   std::optional<HouseholdEncoding> encoding;
@@ -153,9 +211,11 @@ std::string FleetQualityReportToJson(
 // finalized only after the sink returns), and the encoding. A non-OK
 // return fails that attempt — it retries under the same policy as an
 // encode failure. When a sink is provided the encoding is handed to it and
-// NOT kept in the report, so a large fleet streams to disk instead of
-// accumulating in memory. Sinks run concurrently under a pool; they must
-// be thread-safe across distinct households.
+// NOT kept in the report, so a fleet's outputs go to disk as each
+// household finishes instead of accumulating in memory (with
+// FleetInput::source its inputs come from disk the same way). Sinks run
+// concurrently under a pool; they must be thread-safe across distinct
+// households.
 using HouseholdSink =
     std::function<Status(size_t index, const HouseholdReport& report,
                          const HouseholdEncoding& encoding)>;

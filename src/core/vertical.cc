@@ -1,58 +1,42 @@
 #include "core/vertical.h"
 
-#include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 
 namespace smeter {
+namespace internal {
+
+double Accumulator::Value() const {
+  SMETER_DCHECK_GT(count_, 0u);
+  switch (mode_) {
+    case Aggregation::kMean:
+      return sum_ / static_cast<double>(count_);
+    case Aggregation::kSum:
+      return sum_;
+    case Aggregation::kMin:
+      return min_;
+    case Aggregation::kMax:
+      return max_;
+  }
+  return sum_;
+}
+
+}  // namespace internal
+
 namespace {
 
-// Incrementally combines values under one aggregation mode.
-class Accumulator {
- public:
-  explicit Accumulator(Aggregation mode) : mode_(mode) { Reset(); }
-
-  void Reset() {
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
-  }
-
-  void Add(double v) {
-    ++count_;
-    sum_ += v;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-
-  size_t count() const { return count_; }
-
-  double Value() const {
-    // Contract: an empty window has no aggregate (mean would be 0/0, min
-    // and max would be infinities that Append then rejects confusingly).
-    SMETER_DCHECK_GT(count_, 0u);
-    switch (mode_) {
-      case Aggregation::kMean:
-        return sum_ / static_cast<double>(count_);
-      case Aggregation::kSum:
-        return sum_;
-      case Aggregation::kMin:
-        return min_;
-      case Aggregation::kMax:
-        return max_;
-    }
-    return sum_;
-  }
-
- private:
-  Aggregation mode_;
-  size_t count_;
-  double sum_;
-  double min_;
-  double max_;
-};
+Result<std::vector<AggregatedWindow>> FoldWindows(
+    const TimeSeries& series, int64_t window_seconds,
+    const GapAwareWindowOptions& options, bool keep_gaps) {
+  Result<WindowFolder> folder =
+      WindowFolder::Create(window_seconds, options, keep_gaps);
+  if (!folder.ok()) return folder.status();
+  for (const Sample& s : series) folder->Add(s);
+  return folder->Finish();
+}
 
 }  // namespace
 
@@ -60,7 +44,7 @@ Result<TimeSeries> VerticalSegmentByCount(const TimeSeries& series, size_t n,
                                           const VerticalOptions& options) {
   if (n == 0) return InvalidArgumentError("aggregation count n must be > 0");
   TimeSeries out;
-  Accumulator acc(options.aggregation);
+  internal::Accumulator acc(options.aggregation);
   for (size_t i = 0; i < series.size(); ++i) {
     acc.Add(series[i].value);
     if (acc.count() == n) {
@@ -72,57 +56,9 @@ Result<TimeSeries> VerticalSegmentByCount(const TimeSeries& series, size_t n,
   return out;
 }
 
-Result<TimeSeries> VerticalSegmentByWindow(const TimeSeries& series,
-                                           int64_t window_seconds,
-                                           const WindowOptions& options) {
-  if (window_seconds <= 0) {
-    return InvalidArgumentError("window_seconds must be > 0");
-  }
-  if (options.sample_period_seconds <= 0) {
-    return InvalidArgumentError("sample_period_seconds must be > 0");
-  }
-  if (options.min_coverage < 0.0 || options.min_coverage > 1.0) {
-    return InvalidArgumentError("min_coverage must be in [0, 1]");
-  }
-  const double expected =
-      static_cast<double>(window_seconds) /
-      static_cast<double>(options.sample_period_seconds);
-
-  TimeSeries out;
-  Accumulator acc(options.aggregation);
-  bool have_window = false;
-  Timestamp window_start = 0;
-
-  auto flush = [&]() -> Status {
-    if (!have_window || acc.count() == 0) return Status::Ok();
-    double coverage = static_cast<double>(acc.count()) / expected;
-    if (coverage + 1e-12 >= options.min_coverage) {
-      SMETER_RETURN_IF_ERROR(
-          out.Append({window_start + window_seconds, acc.Value()}));
-    }
-    acc.Reset();
-    return Status::Ok();
-  };
-
-  for (const Sample& s : series) {
-    // Align windows to multiples of window_seconds (floor division for
-    // possibly-negative timestamps).
-    Timestamp ws = s.timestamp / window_seconds * window_seconds;
-    if (ws > s.timestamp) ws -= window_seconds;
-    if (!have_window || ws != window_start) {
-      SMETER_RETURN_IF_ERROR(flush());
-      window_start = ws;
-      have_window = true;
-    }
-    acc.Add(s.value);
-  }
-  SMETER_RETURN_IF_ERROR(flush());
-  return out;
-}
-
-Result<std::vector<AggregatedWindow>> VerticalSegmentByWindowWithGaps(
-    const TimeSeries& series, int64_t window_seconds,
-    const GapAwareWindowOptions& options) {
+Result<WindowFolder> WindowFolder::Create(int64_t window_seconds,
+                                          const GapAwareWindowOptions& options,
+                                          bool keep_gaps) {
   if (window_seconds <= 0) {
     return InvalidArgumentError("window_seconds must be > 0");
   }
@@ -132,65 +68,114 @@ Result<std::vector<AggregatedWindow>> VerticalSegmentByWindowWithGaps(
   if (options.window.min_coverage < 0.0 || options.window.min_coverage > 1.0) {
     return InvalidArgumentError("min_coverage must be in [0, 1]");
   }
-  std::vector<AggregatedWindow> out;
-  if (series.empty()) return out;
+  return WindowFolder(window_seconds, options, keep_gaps);
+}
 
-  const auto align = [window_seconds](Timestamp t) {
-    Timestamp ws = t / window_seconds * window_seconds;
-    if (ws > t) ws -= window_seconds;
-    return ws;
-  };
-  const Timestamp first_window = align(series.front().timestamp);
-  const Timestamp last_window = align(series.back().timestamp);
-  // Windows from first to last inclusive; the subtraction cannot overflow
-  // for any series a TimeSeries can hold (timestamps non-decreasing), but
-  // the count can still be astronomically large for sparse traces.
-  const uint64_t num_windows =
-      static_cast<uint64_t>(last_window - first_window) /
-          static_cast<uint64_t>(window_seconds) +
-      1;
-  if (num_windows > options.max_windows) {
+WindowFolder::WindowFolder(int64_t window_seconds,
+                           const GapAwareWindowOptions& options,
+                           bool keep_gaps)
+    : window_seconds_(window_seconds),
+      options_(options),
+      keep_gaps_(keep_gaps),
+      expected_(static_cast<double>(window_seconds) /
+                static_cast<double>(options.window.sample_period_seconds)),
+      acc_(options.window.aggregation) {}
+
+// Windows align to multiples of window_seconds (floor division for
+// possibly-negative timestamps), so day boundaries line up across houses.
+Timestamp WindowFolder::Align(Timestamp t) const {
+  Timestamp ws = t / window_seconds_ * window_seconds_;
+  if (ws > t) ws -= window_seconds_;
+  return ws;
+}
+
+// Windows from the first sample's through the one starting at `ws`. The
+// unsigned difference is exact for any two timestamps in order.
+uint64_t WindowFolder::WindowsThrough(Timestamp ws) const {
+  return (static_cast<uint64_t>(ws) - static_cast<uint64_t>(first_window_)) /
+             static_cast<uint64_t>(window_seconds_) +
+         1;
+}
+
+void WindowFolder::Add(const Sample& sample) {
+  const Timestamp ws = Align(sample.timestamp);
+  if (samples_++ == 0) {
+    first_window_ = ws;
+    window_start_ = ws;
+  }
+  last_window_ = ws;
+  if (too_many_) return;
+  if (ws != window_start_) {
+    if (keep_gaps_) {
+      // Emit every window up to the sample's, the intervening ones as
+      // gaps. The count is checked first, so a trace with two samples
+      // eons apart is rejected instead of allocated.
+      if (WindowsThrough(ws) > options_.max_windows) {
+        too_many_ = true;
+        windows_ = {};
+        return;
+      }
+      while (window_start_ < ws) {
+        Flush();
+        window_start_ += window_seconds_;
+      }
+    } else {
+      Flush();
+      window_start_ = ws;
+    }
+  }
+  acc_.Add(sample.value);
+}
+
+void WindowFolder::Flush() {
+  AggregatedWindow w;
+  w.timestamp = window_start_ + window_seconds_;
+  w.coverage = static_cast<double>(acc_.count()) / expected_;
+  if (acc_.count() == 0) {
+    w.quality = WindowQuality::kGap;
+    w.value = std::numeric_limits<double>::quiet_NaN();
+  } else {
+    w.quality = (w.coverage + 1e-12 >= options_.window.min_coverage)
+                    ? WindowQuality::kValid
+                    : WindowQuality::kPartial;
+    w.value = acc_.Value();
+  }
+  if (keep_gaps_ || w.quality == WindowQuality::kValid) windows_.push_back(w);
+  acc_.Reset();
+}
+
+Result<std::vector<AggregatedWindow>> WindowFolder::Finish() {
+  if (samples_ == 0) return std::vector<AggregatedWindow>();
+  const uint64_t windows = WindowsThrough(last_window_);
+  if (keep_gaps_ && windows > options_.max_windows) {
     return InvalidArgumentError(
-        "gap-aware segmentation would emit " + std::to_string(num_windows) +
-        " windows (max " + std::to_string(options.max_windows) +
+        "gap-aware segmentation would emit " + std::to_string(windows) +
+        " windows (max " + std::to_string(options_.max_windows) +
         "); the trace is too sparse for this window size");
   }
-  out.reserve(static_cast<size_t>(num_windows));
+  Flush();
+  return std::move(windows_);
+}
 
-  const double expected =
-      static_cast<double>(window_seconds) /
-      static_cast<double>(options.window.sample_period_seconds);
-  Accumulator acc(options.window.aggregation);
-  Timestamp window_start = first_window;
-
-  auto flush = [&]() {
-    AggregatedWindow w;
-    w.timestamp = window_start + window_seconds;
-    w.coverage = static_cast<double>(acc.count()) / expected;
-    if (acc.count() == 0) {
-      w.quality = WindowQuality::kGap;
-      w.value = std::numeric_limits<double>::quiet_NaN();
-    } else {
-      w.quality = (w.coverage + 1e-12 >= options.window.min_coverage)
-                      ? WindowQuality::kValid
-                      : WindowQuality::kPartial;
-      w.value = acc.Value();
-    }
-    out.push_back(w);
-    acc.Reset();
-  };
-
-  for (const Sample& s : series) {
-    const Timestamp ws = align(s.timestamp);
-    // Emit every window up to the sample's, the intervening ones as gaps.
-    while (window_start < ws) {
-      flush();
-      window_start += window_seconds;
-    }
-    acc.Add(s.value);
+Result<TimeSeries> VerticalSegmentByWindow(const TimeSeries& series,
+                                           int64_t window_seconds,
+                                           const WindowOptions& options) {
+  GapAwareWindowOptions fold;
+  fold.window = options;
+  Result<std::vector<AggregatedWindow>> windows =
+      FoldWindows(series, window_seconds, fold, /*keep_gaps=*/false);
+  if (!windows.ok()) return windows.status();
+  TimeSeries out;
+  for (const AggregatedWindow& w : *windows) {
+    SMETER_RETURN_IF_ERROR(out.Append({w.timestamp, w.value}));
   }
-  flush();
   return out;
+}
+
+Result<std::vector<AggregatedWindow>> VerticalSegmentByWindowWithGaps(
+    const TimeSeries& series, int64_t window_seconds,
+    const GapAwareWindowOptions& options) {
+  return FoldWindows(series, window_seconds, options, /*keep_gaps=*/true);
 }
 
 }  // namespace smeter

@@ -10,11 +10,15 @@
 //    which is what the experiments use ("15 minutes", "1 hour") and what is
 //    robust to gaps in real data. A window is emitted only if its coverage
 //    (fraction of expected samples present) reaches `min_coverage`.
+//    WindowFolder is its streaming form, one sample at a time; both
+//    window-based batch functions are loops over it.
 
 #ifndef SMETER_CORE_VERTICAL_H_
 #define SMETER_CORE_VERTICAL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -96,6 +100,89 @@ struct GapAwareWindowOptions {
 Result<std::vector<AggregatedWindow>> VerticalSegmentByWindowWithGaps(
     const TimeSeries& series, int64_t window_seconds,
     const GapAwareWindowOptions& options = {});
+
+namespace internal {
+
+// Incrementally combines values under one aggregation mode.
+class Accumulator {
+ public:
+  explicit Accumulator(Aggregation mode) : mode_(mode) {}
+
+  void Reset() {
+    count_ = 0;
+    sum_ = 0.0;
+    min_ = std::numeric_limits<double>::infinity();
+    max_ = -std::numeric_limits<double>::infinity();
+  }
+
+  void Add(double v) {
+    ++count_;
+    sum_ += v;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+
+  size_t count() const { return count_; }
+
+  // Contract: count() > 0. An empty window has no aggregate (mean would be
+  // 0/0, min and max would be infinities that Append then rejects
+  // confusingly).
+  double Value() const;
+
+ private:
+  Aggregation mode_;
+  size_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+};
+
+}  // namespace internal
+
+// The window-based segmentation one sample at a time: Add() the samples in
+// timestamp order, then Finish() once. It holds only the open window's
+// aggregate and the windows already closed, never the samples, so a trace
+// can be folded straight from disk.
+class WindowFolder {
+ public:
+  // Validates the options as the batch functions do. With `keep_gaps` the
+  // output is VerticalSegmentByWindowWithGaps': every aligned window from
+  // the first sample's through the last sample's. Without it, it is
+  // VerticalSegmentByWindow's: only the windows that reach min_coverage
+  // (`options.max_windows` is then unused).
+  static Result<WindowFolder> Create(int64_t window_seconds,
+                                     const GapAwareWindowOptions& options,
+                                     bool keep_gaps);
+
+  // Contract: timestamps are non-decreasing across calls.
+  void Add(const Sample& sample);
+
+  // The windows in time order; none for an empty input. With `keep_gaps`,
+  // InvalidArgument when more than max_windows windows would be emitted.
+  Result<std::vector<AggregatedWindow>> Finish();
+
+ private:
+  WindowFolder(int64_t window_seconds, const GapAwareWindowOptions& options,
+               bool keep_gaps);
+  Timestamp Align(Timestamp t) const;
+  uint64_t WindowsThrough(Timestamp ws) const;
+  // Closes the open window [window_start_, window_start_ + window_seconds_).
+  void Flush();
+
+  int64_t window_seconds_;
+  GapAwareWindowOptions options_;
+  bool keep_gaps_;
+  double expected_;  // samples a fully covered window holds
+  internal::Accumulator acc_;
+  size_t samples_ = 0;
+  Timestamp first_window_ = 0;
+  Timestamp last_window_ = 0;
+  Timestamp window_start_ = 0;
+  // Set once the windows outgrow max_windows: Finish() fails, so the rest
+  // only moves last_window_, for the error's count.
+  bool too_many_ = false;
+  std::vector<AggregatedWindow> windows_;
+};
 
 }  // namespace smeter
 

@@ -60,43 +60,22 @@ uint64_t JitterSeed(const std::string& name) {
 
 namespace {
 
-// The sensor-side pipeline, step for step what encode-fleet runs per
-// household — shared inputs therefore yield bit-identical tables and
-// symbol streams on both paths.
+// The sensor-side pipeline: the HouseholdEncoder encode-fleet runs per
+// household, so shared inputs yield bit-identical tables and symbol
+// streams on both paths.
 Result<PreparedUpload> PrepareMeter(const std::string& name,
                                     const TimeSeries& trace,
                                     const FleetEncodeOptions& options) {
-  if (trace.empty()) {
-    return FailedPreconditionError(name + ": empty trace");
+  Result<EncodedHousehold> encoded = EncodeHousehold(trace, options);
+  if (!encoded.ok()) {
+    return Status(encoded.status().code(),
+                  name + ": " + encoded.status().message());
   }
-  TimeSeries training = trace;
-  if (options.history_seconds > 0) {
-    training = trace.Slice(
-        {trace.front().timestamp,
-         trace.front().timestamp + options.history_seconds});
-    if (training.empty()) {
-      return FailedPreconditionError(name + ": no training data");
-    }
-  }
-  Result<LookupTable> table =
-      LookupTable::Build(training.Values(), options.table);
-  if (!table.ok()) return table.status();
   PreparedUpload prepared;
   prepared.name = name;
-  prepared.table_blob = table->Serialize();
-  if (options.gap_aware) {
-    Result<QualityEncoding> encoded =
-        EncodePipelineWithGaps(trace, *table, options.pipeline);
-    if (!encoded.ok()) return encoded.status();
-    prepared.quality = encoded->quality;
-    prepared.symbols = std::move(encoded.value().symbols);
-  } else {
-    Result<SymbolicSeries> symbols =
-        EncodePipeline(trace, *table, options.pipeline);
-    if (!symbols.ok()) return symbols.status();
-    prepared.quality.windows_valid = symbols->size();
-    prepared.symbols = std::move(symbols.value());
-  }
+  prepared.table_blob = encoded->encoding.table.Serialize();
+  prepared.quality = encoded->quality;
+  prepared.symbols = std::move(encoded.value().encoding.symbols);
   if (prepared.symbols.empty()) {
     return FailedPreconditionError(name + ": trace encoded to no symbols");
   }

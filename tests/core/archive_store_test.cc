@@ -320,6 +320,22 @@ TEST(ArchiveStoreBuild, RebuildIsByteIdentical) {
   ASSERT_TRUE(BuildArchiveStore(root + "/archive", root + "/s1").ok());
   ASSERT_TRUE(BuildArchiveStore(root + "/archive", root + "/s2").ok());
   EXPECT_EQ(SnapshotDir(root + "/s1"), SnapshotDir(root + "/s2"));
+
+  // Rebuilt in place over files it did not write (here one stray file per
+  // partition directory), the store must again equal a fresh build, file
+  // for file and byte for byte.
+  size_t seeded = 0;
+  for (const auto& entry : fs::directory_iterator(root + "/s2")) {
+    if (!entry.is_directory()) continue;
+    ASSERT_TRUE(io::AtomicWriteFile((entry.path() / "stale.tab").string(),
+                                    "left over\n")
+                    .ok());
+    ++seeded;
+  }
+  ASSERT_GT(seeded, 0u);
+  ASSERT_NE(SnapshotDir(root + "/s1"), SnapshotDir(root + "/s2"));
+  ASSERT_TRUE(BuildArchiveStore(root + "/archive", root + "/s2").ok());
+  EXPECT_EQ(SnapshotDir(root + "/s1"), SnapshotDir(root + "/s2"));
 }
 
 TEST(ArchiveStoreBuild, UnparseableMeterIsSkippedNotFatal) {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "data/redd.h"
 #include "testutil.h"
 
 namespace smeter {
@@ -143,6 +147,46 @@ std::vector<FleetInput> SyntheticInputs(size_t households, size_t n) {
   return inputs;
 }
 
+// Writes `trace` as a REDD house directory whose mains join back to it
+// exactly: channel_1 holds the values (17 significant digits round-trip),
+// channel_2 zeros.
+void WriteReddHouse(const std::string& dir, const TimeSeries& trace) {
+  std::filesystem::create_directories(dir);
+  std::ofstream mains1(dir + "/channel_1.dat", std::ios::trunc);
+  std::ofstream mains2(dir + "/channel_2.dat", std::ios::trunc);
+  char row[64];
+  for (const Sample& s : trace) {
+    std::snprintf(row, sizeof(row), "%lld %.17g\n",
+                  static_cast<long long>(s.timestamp), s.value);
+    mains1 << row;
+    mains2 << s.timestamp << " 0\n";
+  }
+}
+
+// The same house streamed from disk by each attempt.
+FleetInput StreamedInput(const std::string& name, const std::string& dir) {
+  return {.name = name,
+          .source = [dir](const std::function<Status(Sample)>& on_sample) {
+            return data::ForEachReddHouseSample(dir, on_sample);
+          }};
+}
+
+void ExpectSameReport(const HouseholdReport& a, const HouseholdReport& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.error, b.error);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.quality.windows_valid, b.quality.windows_valid);
+  EXPECT_EQ(a.quality.windows_partial, b.quality.windows_partial);
+  EXPECT_EQ(a.quality.windows_gap, b.quality.windows_gap);
+  ASSERT_EQ(a.encoding.has_value(), b.encoding.has_value());
+  if (a.encoding.has_value()) {
+    EXPECT_EQ(a.encoding->table.Serialize(), b.encoding->table.Serialize());
+    ExpectSameEncoding(*a.encoding, *b.encoding);
+  }
+}
+
 // A 1 Hz trace with a dead hour: values over [0, 600) and [1200, 1800).
 TimeSeries GappyTrace(uint64_t seed) {
   Rng rng(seed);
@@ -184,19 +228,45 @@ TEST(FleetTolerantTest, TransientFaultRecoversWithinRetryBudget) {
   options.retry.max_retries = 2;
   std::vector<int64_t> slept;
   options.retry.sleep_ms = [&slept](int64_t ms) { slept.push_back(ms); };
-  fault::ScopedFaultPlan plan(
-      {fault::FaultRule::FailCalls("fleet.household", 1, 2)});
+  {
+    fault::ScopedFaultPlan plan(
+        {fault::FaultRule::FailCalls("fleet.household", 1, 2)});
+    ASSERT_OK_AND_ASSIGN(std::vector<HouseholdReport> reports,
+                         EncodeFleetTolerant(inputs, options));
+    ASSERT_EQ(reports.size(), 1u);
+    // Two injected failures then success: attempt 3 lands, so the
+    // household survives but is flagged degraded.
+    EXPECT_EQ(reports[0].attempts, 3);
+    EXPECT_EQ(reports[0].outcome, HouseholdOutcome::kDegraded);
+    EXPECT_TRUE(reports[0].error.ok());
+    EXPECT_TRUE(reports[0].encoding.has_value());
+    // Exponential backoff before retries 1 and 2: 100 ms then 200 ms.
+    EXPECT_EQ(slept, (std::vector<int64_t>{100, 200}));
+  }
+
+  // A streamed household reads its files inside the attempt, so one failed
+  // channel read is retried too, and the retry encodes what a clean run
+  // would.
+  const std::string dir = smeter::testing::TempPath("fleet_transient_read");
+  std::filesystem::remove_all(dir);
+  WriteReddHouse(dir, *inputs[0].trace);
+  std::vector<FleetInput> streamed = {StreamedInput("house_1", dir)};
+  ASSERT_OK_AND_ASSIGN(std::vector<HouseholdReport> clean,
+                       EncodeFleetTolerant(streamed, options));
+  slept.clear();
+  fault::ScopedFaultPlan plan({fault::FaultRule::FailCalls("csv.read", 1, 1)});
   ASSERT_OK_AND_ASSIGN(std::vector<HouseholdReport> reports,
-                       EncodeFleetTolerant(inputs, options));
+                       EncodeFleetTolerant(streamed, options));
+  EXPECT_EQ(plan.InjectedCount("csv.read"), 1u);
   ASSERT_EQ(reports.size(), 1u);
-  // Two injected failures then success: attempt 3 lands, so the household
-  // survives but is flagged degraded.
-  EXPECT_EQ(reports[0].attempts, 3);
+  EXPECT_EQ(reports[0].attempts, 2);
   EXPECT_EQ(reports[0].outcome, HouseholdOutcome::kDegraded);
   EXPECT_TRUE(reports[0].error.ok());
-  EXPECT_TRUE(reports[0].encoding.has_value());
-  // Exponential backoff before retries 1 and 2: 100 ms then 200 ms.
-  EXPECT_EQ(slept, (std::vector<int64_t>{100, 200}));
+  EXPECT_EQ(slept, (std::vector<int64_t>{100}));
+  ASSERT_TRUE(reports[0].encoding.has_value());
+  ASSERT_TRUE(clean[0].encoding.has_value());
+  ExpectSameEncoding(*reports[0].encoding, *clean[0].encoding);
+  EXPECT_EQ(reports[0].samples, 300u);
 }
 
 TEST(FleetTolerantTest, ExhaustedRetriesQuarantineWithAttemptCount) {
@@ -315,6 +385,47 @@ TEST(FleetTolerantTest, ParallelReportsMatchSerial) {
                 serial[h].encoding.has_value());
       if (parallel[h].encoding.has_value()) {
         ExpectSameEncoding(*parallel[h].encoding, *serial[h].encoding);
+      }
+    }
+  }
+
+  // The same fleet as REDD house directories: streamed from disk by each
+  // attempt, it must give exactly what the loaded traces give. House 4 has
+  // no channel_2 (its load error must match too), and house 6 a dead hour.
+  const std::string root = smeter::testing::TempPath("fleet_streamed");
+  std::filesystem::remove_all(root);
+  std::vector<FleetInput> loaded;
+  std::vector<FleetInput> streamed;
+  for (size_t h = 0; h < inputs.size(); ++h) {
+    const std::string name = "house_" + std::to_string(h + 1);
+    const std::string dir = root + "/" + name;
+    WriteReddHouse(dir, h == 5 ? GappyTrace(9) : SyntheticTrace(100 + h, 300));
+    if (h == 3) std::filesystem::remove(dir + "/channel_2.dat");
+    loaded.push_back({name, data::LoadReddHouseMains(dir)});
+    streamed.push_back(StreamedInput(name, dir));
+  }
+  for (bool gap_aware : {true, false}) {
+    for (int64_t history : {int64_t{0}, int64_t{172800}}) {
+      FleetEncodeOptions streaming = SmallOptions();
+      streaming.gap_aware = gap_aware;
+      streaming.history_seconds = history;
+      streaming.retry.max_retries = 0;
+      for (size_t threads : {1, 4}) {
+        ThreadPool pool(threads);
+        ASSERT_OK_AND_ASSIGN(std::vector<HouseholdReport> want,
+                             EncodeFleetTolerant(loaded, streaming, &pool));
+        ASSERT_OK_AND_ASSIGN(std::vector<HouseholdReport> got,
+                             EncodeFleetTolerant(streamed, streaming, &pool));
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t h = 0; h < want.size(); ++h) {
+          SCOPED_TRACE("gap_aware=" + std::to_string(gap_aware) +
+                       " history=" + std::to_string(history) + " threads=" +
+                       std::to_string(threads) + " house=" +
+                       std::to_string(h));
+          ExpectSameReport(got[h], want[h]);
+        }
+        EXPECT_EQ(got[3].outcome, HouseholdOutcome::kQuarantined);
+        EXPECT_EQ(got[0].samples, 300u);
       }
     }
   }

@@ -121,7 +121,10 @@ TEST(ReddHouseTest, MissingChannelIsNotFound) {
 //
 // The streaming loader must agree with the original row-materialising one
 // (redd_reference.h) on every input: same ok(), same status, bit-identical
-// samples.
+// samples. Every input runs at read-buffer sizes that tear lines, "\r\n"
+// pairs and numbers at every offset, and at the production size.
+
+constexpr size_t kBufferSizes[] = {1, 2, 3, 7, 4096, kReddReadBufferBytes};
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -208,9 +211,13 @@ std::string WriteChannel(const std::string& content) {
 void ExpectChannelMatches(const std::string& content) {
   SCOPED_TRACE(::testing::PrintToString(content));
   std::string path = WriteChannel(content);
-  EXPECT_EQ(reference::Mismatch(LoadReddChannel(path),
-                                reference::LoadReddChannel(path)),
-            "");
+  const Result<TimeSeries> want = reference::LoadReddChannel(path);
+  EXPECT_EQ(reference::Mismatch(LoadReddChannel(path), want), "");
+  for (size_t bytes : kBufferSizes) {
+    EXPECT_EQ(reference::Mismatch(internal::LoadReddChannel(path, bytes), want),
+              "")
+        << "read buffer " << bytes << " B";
+  }
 }
 
 void ExpectHouseMatches(const std::string& channel_1,
@@ -221,9 +228,13 @@ void ExpectHouseMatches(const std::string& channel_1,
   std::filesystem::create_directories(dir);
   WriteFile(dir + "/channel_1.dat", channel_1);
   WriteFile(dir + "/channel_2.dat", channel_2);
-  EXPECT_EQ(reference::Mismatch(LoadReddHouseMains(dir),
-                                reference::LoadReddHouseMains(dir)),
-            "");
+  const Result<TimeSeries> want = reference::LoadReddHouseMains(dir);
+  EXPECT_EQ(reference::Mismatch(LoadReddHouseMains(dir), want), "");
+  for (size_t bytes : kBufferSizes) {
+    EXPECT_EQ(
+        reference::Mismatch(internal::LoadReddHouseMains(dir, bytes), want), "")
+        << "read buffer " << bytes << " B";
+  }
 }
 
 TEST(ReddOracleTest, EdgeCases) {
@@ -245,12 +256,20 @@ TEST(ReddOracleTest, EdgeCases) {
   ExpectHouseMatches("100 1\n", "100 1\n200 inf\n");
   ExpectHouseMatches("100 1\n100 2\n101 3\n", "100 10\n100 20\n100 30\n");
   ExpectHouseMatches("100 1\n102 2\n104 3\n", "101 1\n103 2\n105 3\n");
+  // A missing channel_2 loses to a bad channel_1, even to one whose error
+  // comes after rows the join could have used.
   std::string dir = smeter::testing::TempPath("diff_house_missing");
   std::filesystem::create_directories(dir);
-  WriteFile(dir + "/channel_1.dat", clean);
-  EXPECT_EQ(reference::Mismatch(LoadReddHouseMains(dir),
-                                reference::LoadReddHouseMains(dir)),
-            "");
+  for (const std::string& channel_1 : {clean, clean + "99 1\n"}) {
+    WriteFile(dir + "/channel_1.dat", channel_1);
+    const Result<TimeSeries> want = reference::LoadReddHouseMains(dir);
+    EXPECT_EQ(reference::Mismatch(LoadReddHouseMains(dir), want), "");
+    for (size_t bytes : kBufferSizes) {
+      EXPECT_EQ(
+          reference::Mismatch(internal::LoadReddHouseMains(dir, bytes), want),
+          "");
+    }
+  }
 }
 
 // Every fuzz_csv seed, then random channels spliced from grammar

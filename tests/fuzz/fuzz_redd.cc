@@ -3,7 +3,8 @@
 // channel files of one house. Both LoadReddChannel (on channel_1) and
 // LoadReddHouseMains must agree with the original row-materialising loader
 // (tests/data/redd_reference.h): the same ok(), the same status, and
-// bit-identical samples.
+// bit-identical samples, at read-buffer sizes from 1 B (a refill tears
+// every line) up to the production size.
 //
 // Crash condition (beyond sanitizer reports): any disagreement.
 
@@ -65,9 +66,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   WriteChannel("channel_2.dat", content.substr(split));
 
   const std::string channel_1 = HouseDir() + "/channel_1.dat";
-  ExpectAgree(LoadReddChannel(channel_1),
-              reference::LoadReddChannel(channel_1));
-  ExpectAgree(LoadReddHouseMains(HouseDir()),
-              reference::LoadReddHouseMains(HouseDir()));
+  const smeter::Result<smeter::TimeSeries> channel =
+      reference::LoadReddChannel(channel_1);
+  const smeter::Result<smeter::TimeSeries> house =
+      reference::LoadReddHouseMains(HouseDir());
+  ExpectAgree(LoadReddChannel(channel_1), channel);
+  ExpectAgree(LoadReddHouseMains(HouseDir()), house);
+  // Read buffers that tear lines at every offset, then the production size.
+  for (size_t bytes : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                       size_t{4096}, kReddReadBufferBytes}) {
+    ExpectAgree(internal::LoadReddChannel(channel_1, bytes), channel);
+    ExpectAgree(internal::LoadReddHouseMains(HouseDir(), bytes), house);
+  }
   return 0;
 }

@@ -93,7 +93,14 @@ TEST(FleetFaultTest, InterruptedRunResumesBitIdentical) {
   // that never crashed.
   std::vector<std::string> resume_args = FleetArgs(dir, crash_dir);
   resume_args.insert(resume_args.end(), {"--resume", "true"});
-  std::string resumed = RunCliOk(resume_args);
+  std::string resumed;
+  {
+    // A plan with no rules only counts: the resume opens the two channel
+    // files of house_2 and house_3, and never reads the carried house_1.
+    fault::ScopedFaultPlan plan({});
+    resumed = RunCliOk(resume_args);
+    EXPECT_EQ(plan.CallCount("csv.read"), 4u);
+  }
   EXPECT_NE(resumed.find("[resumed]"), std::string::npos) << resumed;
   ExpectDirsBitIdentical(clean_dir, crash_dir, FleetArtifacts(3));
 }

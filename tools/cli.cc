@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -294,36 +295,32 @@ Status CmdDecode(const Flags& flags, std::ostream& out) {
   return Status::Ok();
 }
 
-// Loads every household of a fleet: REDD layout (a directory of
-// house_<i>/ subdirectories, loaded in parallel on `pool`) or a CER file
-// (all meters). Returns one FleetInput per household in a stable order; a
-// household whose files are unreadable carries its load error into the
-// tolerant encoder (quarantine) instead of failing the whole fleet. A CER
-// file that cannot be read at all is a fleet-level error — the households
-// inside it cannot even be enumerated.
+// Lists every household of a fleet: REDD layout (a directory of
+// house_<i>/ subdirectories, each streamed from disk by its own attempt
+// inside its pool lane, so nothing is read here) or a CER file (all
+// meters, loaded whole). Returns one FleetInput per household in a stable
+// order; a household whose files are unreadable fails its attempts and is
+// quarantined alone instead of failing the whole fleet. A CER file that
+// cannot be read at all is a fleet-level error — the households inside it
+// cannot even be enumerated.
 Result<std::vector<FleetInput>> LoadFleet(const std::string& input,
-                                          const std::string& format,
-                                          ThreadPool* pool) {
+                                          const std::string& format) {
   std::vector<FleetInput> fleet;
   if (format == "redd") {
     for (int h = 1;; ++h) {
       std::string name = "house_" + std::to_string(h);
-      if (!std::filesystem::is_directory(input + "/" + name)) break;
-      fleet.push_back({std::move(name), TimeSeries()});
+      const std::string house_dir = input + "/" + name;
+      if (!std::filesystem::is_directory(house_dir)) break;
+      fleet.push_back(
+          {.name = std::move(name),
+           .source = [house_dir](
+                         const std::function<Status(Sample)>& on_sample) {
+             return data::ForEachReddHouseSample(house_dir, on_sample);
+           }});
     }
     if (fleet.empty()) {
       return NotFoundError("no house_<i> directories under " + input);
     }
-    // Each household stores its own Result, so a bad house is still
-    // quarantined alone.
-    SMETER_RETURN_IF_ERROR(
-        pool->ParallelFor(0, fleet.size(), 1, [&](size_t begin, size_t end) {
-          for (size_t h = begin; h < end; ++h) {
-            fleet[h].trace =
-                data::LoadReddHouseMains(input + "/" + fleet[h].name);
-          }
-          return Status::Ok();
-        }));
     return fleet;
   }
   if (format == "cer") {
@@ -385,7 +382,7 @@ Status CmdEncodeFleet(const Flags& flags, std::ostream& out) {
   }
 
   ThreadPool pool(static_cast<size_t>(*threads));
-  Result<std::vector<FleetInput>> fleet = LoadFleet(*input, format, &pool);
+  Result<std::vector<FleetInput>> fleet = LoadFleet(*input, format);
   if (!fleet.ok()) return fleet.status();
 
   const std::string manifest_path = *dir + "/fleet.manifest";
@@ -488,10 +485,8 @@ Status CmdEncodeFleet(const Flags& flags, std::ostream& out) {
 
   size_t total_symbols = 0;
   size_t total_samples = 0;
-  for (const FleetInput& in : todo) {
-    if (in.trace.ok()) total_samples += in.trace->size();
-  }
   for (const HouseholdReport& r : reports) {
+    total_samples += r.samples;
     if (r.outcome == HouseholdOutcome::kQuarantined) {
       out << r.name << ": quarantined after " << r.attempts
           << " attempt(s): " << r.error.ToString() << "\n";
@@ -1223,7 +1218,8 @@ std::string UsageText() {
       "               a failing household is retried, then quarantined\n"
       "               (run still exits 0; see <out>/quality.json);\n"
       "               --resume true skips households already recorded in\n"
-      "               <out>/fleet.manifest from an interrupted run\n"
+      "               <out>/fleet.manifest from an interrupted run, without\n"
+      "               reading their files\n"
       "  decode       --input SYMBOLS --table TABLE [--mode mean|center]\n"
       "  info         --input FILE\n"
       "  fsck         --dir DIR [--repair false] [--report PATH]\n"
